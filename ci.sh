@@ -10,6 +10,9 @@ cargo build --release
 echo "==> tests"
 cargo test -q
 
+echo "==> benchmark tests (perfbench is a workspace of its own; the root cargo test does not reach it)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (-D warnings)"
 cargo clippy --all-targets -- -D warnings
 

@@ -1,15 +1,17 @@
 //! Criterion benchmarks of the computational kernels: RA-Bound solve
-//! (paper §4.3's off-line cost), belief updates, incremental backups,
-//! the QMDP/FIB upper bounds, and whole-decision tree expansion
-//! (legacy vs fused kernel) at depths 2–3.
+//! (paper §4.3's off-line cost), belief updates, incremental backups
+//! (on the RA-Bound, on a grown EMN bound and on the 10³-state
+//! `cellfleet-mid`), the QMDP/FIB upper bounds, and whole-decision tree
+//! expansion (legacy vs fused kernel) at depths 2–3.
 
 use bpr_bench::experiments::emn_model;
+use bpr_core::scenario::Scenario;
 use bpr_core::TerminatedModel;
 use bpr_emn::actions::EmnAction;
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::value_iteration::Discount;
 use bpr_pomdp::backup::incremental_backup;
-use bpr_pomdp::bounds::{qmdp_bound, ra_bound};
+use bpr_pomdp::bounds::{qmdp_bound, ra_bound, VectorSetBound};
 use bpr_pomdp::{tree, Belief, PlanWorkspace};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -52,6 +54,47 @@ fn bench_belief_ops(c: &mut Criterion) {
     });
 }
 
+/// The RA-Bound of `t` grown by backups at the uniform fault belief,
+/// the fault vertices and even mixtures of neighbouring faults, in
+/// turn, until it holds `target` hyperplanes.
+fn grown_bound(t: &TerminatedModel, target: usize) -> VectorSetBound {
+    let pomdp = t.pomdp();
+    let n = pomdp.n_states();
+    let faults = t.fault_states();
+    let points: Vec<Belief> = std::iter::once(Belief::uniform_over(n, &faults))
+        .chain(faults.iter().map(|&f| Belief::point(n, f)))
+        .chain(faults.windows(2).map(|pair| Belief::uniform_over(n, pair)))
+        .collect();
+    let mut bound = ra_bound(pomdp, &SolveOpts::default()).expect("bound exists");
+    for point in points.iter().cycle().take(20 * target) {
+        if bound.len() >= target {
+            break;
+        }
+        incremental_backup(pomdp, &mut bound, point, 1.0).expect("backup succeeds");
+    }
+    assert!(
+        bound.len() >= target,
+        "bound stopped growing at {}",
+        bound.len()
+    );
+    bound
+}
+
+/// Times one backup of a fresh clone of `bound` at the uniform fault
+/// belief.
+fn bench_backup_of(c: &mut Criterion, name: &str, t: &TerminatedModel, bound: &VectorSetBound) {
+    let belief = Belief::uniform_over(t.pomdp().n_states(), &t.fault_states());
+    c.bench_function(name, |b| {
+        b.iter_batched(
+            || bound.clone(),
+            |mut bound| {
+                incremental_backup(t.pomdp(), &mut bound, &belief, 1.0).expect("backup succeeds")
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_backup(c: &mut Criterion) {
     let t = transformed();
     let belief = Belief::uniform(t.pomdp().n_states());
@@ -64,6 +107,22 @@ fn bench_backup(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+    // The emn-improve regime: a bootstrapped bound of ~25 hyperplanes,
+    // dense observation rows (about 1 600 non-zeros per action).
+    bench_backup_of(c, "incremental_backup_emn_v25", &t, &grown_bound(&t, 25));
+    // The 10³-state fleet: sparse first-alarm observation rows.
+    let sc = bpr_topo::corpus::cellfleet_mid();
+    let fleet = sc
+        .build()
+        .expect("cellfleet-mid builds")
+        .without_notification(sc.operator_response_time())
+        .expect("transform succeeds");
+    bench_backup_of(
+        c,
+        "incremental_backup_cellfleet_mid_v8",
+        &fleet,
+        &grown_bound(&fleet, 8),
+    );
 }
 
 fn bench_upper_bounds(c: &mut Criterion) {

@@ -41,6 +41,12 @@ pub struct BackupOutcome {
 /// RA-Bound does; backups therefore never make the bound worse anywhere
 /// and weakly improve it at `π`.
 ///
+/// The per-observation hyperplane choice is computed state-major over
+/// the support of `P_aᵀπ`, so one backup costs
+/// O(|A|·(nnz(P_a) + nnz(Q_a on supp P_aᵀπ)·|V|)) plus lower-order
+/// terms instead of the dense O(|A|·|O|·|V|·|S|); the result is
+/// bit-identical to the dense formulation (DESIGN.md §5l).
+///
 /// # Errors
 ///
 /// * [`Error::InvalidBelief`] if `bounds` is empty or has the wrong
@@ -62,57 +68,95 @@ pub fn incremental_backup(
         });
     }
     let n = pomdp.n_states();
+    let nobs = pomdp.n_observations();
+    let nv = bounds.len();
     let value_before = bounds
         .best_vector_quiet(belief.probs())
         .map(|(_, v)| v)
         .unwrap_or(f64::NEG_INFINITY);
 
+    // State-major copy of the set, vt[s·|V| + v] = V_v(s): the score
+    // update for one successor state reads one contiguous row.
+    let mut vt = vec![0.0f64; n * nv];
+    for (v, vector) in bounds.iter().enumerate() {
+        for (s, &x) in vector.iter().enumerate() {
+            vt[s * nv + v] = x;
+        }
+    }
+    // Scratch reused across actions. scores[o·|V| + v] accumulates
+    // V_v · τ_o, where τ_o(s') = q(o|s',a)·pred(s') is the unnormalised
+    // successor belief after (a, o); only reachable rows are non-zero.
+    let mut pred = vec![0.0f64; n];
+    let mut w = vec![0.0f64; n];
+    let mut pw = vec![0.0f64; n];
+    let mut ba = vec![0.0f64; n];
+    let mut scores = vec![0.0f64; nobs * nv];
+    // Observations actually reachable from the current belief (some
+    // τ_o entry is positive); the choice for an unreachable observation
+    // is arbitrary (any hyperplane is sound there) and must not count
+    // as usage.
+    let mut reachable = vec![false; nobs];
+    // choice[o] = index into the bound set of the hyperplane that is
+    // best for τ_o.
+    let mut choice = vec![0usize; nobs];
+
     let mut best: Option<(f64, Vec<f64>, ActionId, Vec<usize>)> = None;
     for a in 0..pomdp.n_actions() {
         let action = ActionId::new(a);
-        let pred = belief.predict(pomdp, action);
-        // For each observation, pick the hyperplane that is best for the
-        // unnormalised successor belief τ(s') = q(o|s',a)·pred(s').
-        // choice[o] = index into the bound set.
-        let nobs = pomdp.n_observations();
-        let mut choice = vec![0usize; nobs];
-        // Observations actually reachable from the current belief; the
-        // choice for an unreachable observation is arbitrary (any
-        // hyperplane is sound there) and must not count as usage.
-        let mut reachable = vec![false; nobs];
-        {
-            // τ built observation-by-observation using the sparse
-            // observation matrix.
-            let mut tau = vec![vec![0.0f64; n]; nobs];
-            for s2 in 0..n {
-                if pred[s2] == 0.0 {
-                    continue;
-                }
-                for (o, qv) in pomdp.observations_on_entering(s2, action) {
-                    tau[o.index()][s2] = qv * pred[s2];
-                    reachable[o.index()] |= qv * pred[s2] > 0.0;
+        let transitions = pomdp.mdp().transition_matrix(action);
+        transitions
+            .matvec_transpose_into(belief.probs(), &mut pred)
+            .expect("dimensions validated above");
+        for (o, r) in reachable.iter_mut().enumerate() {
+            if std::mem::take(r) {
+                scores[o * nv..(o + 1) * nv].fill(0.0);
+            }
+        }
+        // Walk the support of pred in ascending state order, so each
+        // (o, v) accumulator sums the same non-zero products in the same
+        // order as a dense dot product of V_v with τ_o. The skipped
+        // terms (τ_o(s') = 0) are ±0 and change at most the sign of a
+        // zero score, which no comparison below can see.
+        for (s2, &p) in pred.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let column = &vt[s2 * nv..(s2 + 1) * nv];
+            for (o, qv) in pomdp.observations_on_entering(s2, action) {
+                let (o, t) = (o.index(), qv * p);
+                if t > 0.0 {
+                    reachable[o] = true;
+                    dense::axpy(t, column, &mut scores[o * nv..(o + 1) * nv]);
                 }
             }
-            for (o, tau_o) in tau.iter().enumerate() {
-                choice[o] = bounds.best_vector_quiet(tau_o).map(|(i, _)| i).unwrap_or(0);
-            }
+        }
+        for (o, c) in choice.iter_mut().enumerate() {
+            // Ties go to the highest index, as in
+            // `VectorSetBound::best_vector_quiet`. τ ≥ 0, so an
+            // unreachable observation has τ_o = 0: every hyperplane
+            // scores zero and the last one wins.
+            *c = if reachable[o] {
+                scores[o * nv..(o + 1) * nv]
+                    .iter()
+                    .enumerate()
+                    .max_by(|x, y| x.1.partial_cmp(y.1).expect("finite bound values"))
+                    .map_or(0, |(i, _)| i)
+            } else {
+                nv - 1
+            };
         }
         // w(s') = Σ_o q(o|s',a) · b^{a,o}(s'), then b_a = r(a) + β P(a) w.
-        let set_vectors: Vec<&[f64]> = bounds.iter().collect();
-        let mut w = vec![0.0f64; n];
-        for s2 in 0..n {
+        for (s2, ws) in w.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (o, qv) in pomdp.observations_on_entering(s2, action) {
-                acc += qv * set_vectors[choice[o.index()]][s2];
+                acc += qv * vt[s2 * nv + choice[o.index()]];
             }
-            w[s2] = acc;
+            *ws = acc;
         }
-        let pw = pomdp
-            .mdp()
-            .transition_matrix(action)
-            .matvec(&w)
+        transitions
+            .matvec_into(&w, &mut pw)
             .expect("dimensions validated above");
-        let mut ba = pomdp.mdp().reward_vector(action).to_vec();
+        ba.copy_from_slice(pomdp.mdp().reward_vector(action));
         dense::axpy(beta, &pw, &mut ba);
 
         let value = dense::dot(belief.probs(), &ba);
@@ -121,7 +165,7 @@ pub fn incremental_backup(
                 .filter(|&o| reachable[o])
                 .map(|o| choice[o])
                 .collect();
-            best = Some((value, ba, action, support));
+            best = Some((value, ba.clone(), action, support));
         }
     }
     let (value_at_pi, vector, action, support) = best.expect("model has at least one action");

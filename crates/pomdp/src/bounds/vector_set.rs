@@ -205,6 +205,12 @@ impl VectorSetBound {
     /// The best hyperplane at a (possibly unnormalised) weight vector,
     /// without recording usage.
     ///
+    /// Ties resolve to the *highest* index (`Iterator::max_by` keeps the
+    /// last maximum), unlike [`bpr_linalg::dense::argmax`], which keeps
+    /// the lowest. An all-zero weight vector therefore selects the last
+    /// hyperplane. [`crate::backup::incremental_backup`] reproduces this
+    /// rule in its own selection loop, so it is pinned by a unit test.
+    ///
     /// # Panics
     ///
     /// Panics if `weights.len()` differs from the set's dimension.
@@ -375,6 +381,20 @@ mod tests {
         assert_eq!(set.value(&b0), -1.0);
         assert_eq!(set.value(&b1), -1.0);
         assert_eq!(set.value(&Belief::uniform(2)), -2.0);
+    }
+
+    #[test]
+    fn best_vector_quiet_ties_resolve_to_the_highest_index() {
+        let mut set = VectorSetBound::new(2);
+        set.add_vector(vec![-1.0, -3.0]).unwrap();
+        set.add_vector(vec![-3.0, -1.0]).unwrap();
+        set.add_vector(vec![-2.5, -2.5]).unwrap();
+        // Vectors 0 and 1 tie at the uniform weights; vector 2 is lower.
+        assert_eq!(set.best_vector_quiet(&[0.5, 0.5]), Some((1, -2.0)));
+        // All-zero weights tie every vector (at ±0): the last one wins.
+        assert_eq!(set.best_vector_quiet(&[0.0, 0.0]).map(|(i, _)| i), Some(2));
+        // A strict maximum still wins wherever it sits.
+        assert_eq!(set.best_vector_quiet(&[1.0, 0.0]), Some((0, -1.0)));
     }
 
     #[test]

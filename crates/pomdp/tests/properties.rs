@@ -8,6 +8,8 @@ use bpr_pomdp::bounds::{ra_bound, ValueBound};
 use bpr_pomdp::{tree, Belief, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
 
+mod reference;
+
 /// A random POMDP with recovery shape: state 0 absorbing & free, every
 /// other state fixable, full-support observation noise.
 fn arb_pomdp() -> impl Strategy<Value = Pomdp> {
@@ -47,6 +49,104 @@ fn arb_pomdp() -> impl Strategy<Value = Pomdp> {
             }
             pb.build().expect("pomdp builds")
         })
+}
+
+/// A random recovery model with sparse observation rows (each state
+/// emits one of two observations) and transitions that split mass
+/// between two states, so backups meet observations that are
+/// unreachable from the backed-up belief and multi-term sums.
+fn arb_sparse_pomdp() -> impl Strategy<Value = Pomdp> {
+    (3usize..=6, 2usize..=4, 3usize..=6)
+        .prop_flat_map(|(n, na, no)| {
+            (
+                Just(n),
+                Just(na),
+                Just(no),
+                proptest::collection::vec(0.05f64..0.95, n * na),
+                proptest::collection::vec(0usize..64, n * na),
+                proptest::collection::vec(0.1f64..2.0, n * na),
+                proptest::collection::vec(0.55f64..0.95, n),
+            )
+        })
+        .prop_map(|(n, na, no, stay, jump, costs, acc)| {
+            let mut b = MdpBuilder::new(n, na);
+            for a in 0..na {
+                b.transition(0, a, 0, 1.0);
+            }
+            for s in 1..n {
+                for a in 0..na {
+                    let k = s * na + a;
+                    let other = 1 + jump[k] % (n - 1);
+                    if a == s % na {
+                        b.transition(s, a, 0, 1.0);
+                    } else if other == s {
+                        b.transition(s, a, s, 1.0);
+                    } else {
+                        b.transition(s, a, s, stay[k]);
+                        b.transition(s, a, other, 1.0 - stay[k]);
+                    }
+                    b.reward(s, a, -costs[k]);
+                }
+            }
+            let mdp = b.build().expect("mdp builds");
+            let mut pb = PomdpBuilder::new(mdp, no);
+            for (s, &q) in acc.iter().enumerate() {
+                pb.observation_all_actions(s, s % no, q);
+                pb.observation_all_actions(s, (s + 1) % no, 1.0 - q);
+            }
+            pb.build().expect("pomdp builds")
+        })
+}
+
+/// One backup point of a differential run: a vertex, the uniform
+/// belief, a dense mixture, or a mixture over a random subset of
+/// states (which leaves some observations unreachable).
+fn step_belief(n: usize, kind: usize, index: usize, weights: &[f64]) -> Belief {
+    let vertex = Belief::point(n, StateId::new(index % n));
+    let mixture = |w: Vec<f64>| {
+        let total: f64 = w.iter().sum();
+        if total > 0.0 {
+            Belief::from_probs(w.iter().map(|x| x / total).collect()).expect("valid belief")
+        } else {
+            vertex.clone()
+        }
+    };
+    match kind {
+        0 => vertex.clone(),
+        1 => Belief::uniform(n),
+        2 => mixture(weights[..n].to_vec()),
+        _ => mixture(
+            weights[..n]
+                .iter()
+                .map(|&x| if x > 0.6 { x } else { 0.0 })
+                .collect(),
+        ),
+    }
+}
+
+/// Grows `p`'s RA-Bound by up to 50 backups (the set stops growing
+/// earlier when new vectors are dominated), checking every backup
+/// against the dense reference bit for bit.
+fn differential_run(p: &Pomdp, steps: &[(usize, usize, Vec<f64>)], beta: f64) {
+    let mut set = ra_bound(p, &Default::default()).expect("RA exists");
+    let n = p.n_states();
+    for (kind, index, weights) in steps {
+        if set.len() >= 50 {
+            break;
+        }
+        reference::backup_both(p, &mut set, &step_belief(n, *kind, *index, weights), beta);
+    }
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<(usize, usize, Vec<f64>)>> {
+    proptest::collection::vec(
+        (
+            0usize..4,
+            0usize..64,
+            proptest::collection::vec(0.0f64..1.0, 6),
+        ),
+        50,
+    )
 }
 
 proptest! {
@@ -146,5 +246,14 @@ proptest! {
         for s in 0..n {
             prop_assert!((recomposed[s] - pred[s]).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn backup_matches_dense_reference_bit_for_bit(
+        p in prop_oneof![arb_pomdp(), arb_sparse_pomdp()],
+        steps in arb_steps(),
+        discounted in 0usize..2,
+    ) {
+        differential_run(&p, &steps, if discounted == 1 { 0.9 } else { 1.0 });
     }
 }
