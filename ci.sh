@@ -19,6 +19,9 @@ cargo clippy --all-targets -- -D warnings
 echo "==> rustfmt check"
 cargo fmt --check
 
+echo "==> docs (-D warnings: broken or ambiguous intra-doc links fail the build)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> robustness smoke (10 episodes)"
 cargo run -p bpr-bench --bin robustness --release -- --episodes 10
 

@@ -120,10 +120,10 @@ pub struct AnytimeDecision {
     pub budget_exhausted: bool,
 }
 
-/// Last-maximiser argmax — the tie-breaking rule of
-/// [`bpr_pomdp::tree::expand_with_cutoff`] (its `max_by` keeps the last
-/// maximal element), replicated so a generous budget reproduces the
-/// unbudgeted expansion bit-for-bit.
+/// Last-maximiser argmax of the depth-0 greedy fallback. Ties go to
+/// the last maximal index (`-0.0` and `0.0` tie), the same rule the
+/// tree's root argmax applies to a completed pass, so both rungs of the
+/// planner break ties alike.
 fn argmax_last(q_values: &[f64]) -> (ActionId, f64) {
     let mut best = 0usize;
     for (i, q) in q_values.iter().enumerate().skip(1) {
@@ -134,7 +134,8 @@ fn argmax_last(q_values: &[f64]) -> (ActionId, f64) {
     (ActionId::new(best), q_values[best])
 }
 
-/// Iterative-deepening Max-Avg expansion under a node budget.
+/// Iterative-deepening Max-Avg expansion under a node budget, against
+/// a reusable [`PlanWorkspace`].
 ///
 /// Depths `1..=max_depth` are attempted in order, each against the
 /// budget *remaining* after the previous passes; the decision of the
@@ -146,34 +147,7 @@ fn argmax_last(q_values: &[f64]) -> (ActionId, f64) {
 /// bit-identical to [`bpr_pomdp::tree::expand_with_cutoff`] at
 /// `max_depth`.
 ///
-/// # Errors
-///
-/// * [`Error::InvalidInput`] if `max_depth == 0`.
-/// * Propagates belief-arithmetic failures from the greedy fallback.
-pub fn anytime_expand(
-    pomdp: &Pomdp,
-    belief: &Belief,
-    leaf: &dyn ValueBound,
-    max_depth: usize,
-    node_budget: usize,
-    beta: f64,
-    gamma_cutoff: f64,
-) -> Result<AnytimeDecision, Error> {
-    let mut ws = PlanWorkspace::new();
-    anytime_expand_with_workspace(
-        pomdp,
-        belief,
-        leaf,
-        max_depth,
-        node_budget,
-        beta,
-        gamma_cutoff,
-        &mut ws,
-    )
-}
-
-/// [`anytime_expand`] running against a reusable [`PlanWorkspace`]: the
-/// deepening passes run on the fused planning kernel
+/// The deepening passes run on the fused planning kernel
 /// ([`bpr_pomdp::tree::expand_budgeted`]) with all tree scratch drawn
 /// from the workspace, so a controller holding its workspace across
 /// decisions pays no per-node allocations. The transposition cache is
@@ -183,7 +157,8 @@ pub fn anytime_expand(
 ///
 /// # Errors
 ///
-/// Same as [`anytime_expand`].
+/// * [`Error::InvalidInput`] if `max_depth == 0`.
+/// * Propagates belief-arithmetic failures from the greedy fallback.
 #[allow(clippy::too_many_arguments)]
 pub fn anytime_expand_with_workspace(
     pomdp: &Pomdp,
@@ -264,11 +239,11 @@ pub fn anytime_expand_with_workspace(
         .map_err(Error::Pomdp)?;
         decision.nodes_expanded += pass.nodes_spent;
         if pass.completed {
-            let (action, value) = argmax_last(ws.q_scratch());
-            decision.action = action;
-            decision.value = value;
+            let pass_decision = ws.decision();
+            decision.action = pass_decision.action;
+            decision.value = pass_decision.value;
             decision.q_values.clear();
-            decision.q_values.extend_from_slice(ws.q_scratch());
+            decision.q_values.extend_from_slice(&pass_decision.q_values);
             decision.completed_depth = depth;
         } else {
             decision.budget_exhausted = true;
@@ -293,8 +268,9 @@ pub struct AnytimeStats {
     pub backups: usize,
 }
 
-/// A deadline-aware recovery controller: [`anytime_expand`] behind the
-/// [`RecoveryController`] interface.
+/// A deadline-aware recovery controller:
+/// [`anytime_expand_with_workspace`] behind the [`RecoveryController`]
+/// interface.
 ///
 /// Semantically a [`crate::BoundedController`] whose per-decision cost
 /// is hard-capped: same model transform, same termination rule, same
@@ -496,6 +472,26 @@ mod tests {
     use crate::model::tests::two_server_model;
     use bpr_pomdp::tree;
 
+    fn anytime_expand(
+        pomdp: &Pomdp,
+        belief: &Belief,
+        leaf: &dyn ValueBound,
+        max_depth: usize,
+        node_budget: usize,
+    ) -> Result<AnytimeDecision, Error> {
+        let mut ws = PlanWorkspace::new();
+        anytime_expand_with_workspace(
+            pomdp,
+            belief,
+            leaf,
+            max_depth,
+            node_budget,
+            1.0,
+            0.0,
+            &mut ws,
+        )
+    }
+
     fn setup() -> (TerminatedModel, VectorSetBound) {
         let model = two_server_model().without_notification(10.0).unwrap();
         let bound = ra_bound(model.pomdp(), &SolveOpts::default()).unwrap();
@@ -515,7 +511,7 @@ mod tests {
             let b = Belief::from_probs(probs).unwrap();
             for depth in 1..=3 {
                 let plain = tree::expand_with_cutoff(pomdp, &b, depth, &bound, 1.0, 0.0).unwrap();
-                let any = anytime_expand(pomdp, &b, &bound, depth, usize::MAX, 1.0, 0.0).unwrap();
+                let any = anytime_expand(pomdp, &b, &bound, depth, usize::MAX).unwrap();
                 assert_eq!(any.action, plain.action, "depth {depth}");
                 assert_eq!(any.value, plain.value, "depth {depth}");
                 assert_eq!(any.q_values, plain.q_values, "depth {depth}");
@@ -541,7 +537,7 @@ mod tests {
         let (model, bound) = setup();
         let pomdp = model.pomdp();
         let b = Belief::uniform(4);
-        let d = anytime_expand(pomdp, &b, &bound, 3, 1, 1.0, 0.0).unwrap();
+        let d = anytime_expand(pomdp, &b, &bound, 3, 1).unwrap();
         assert_eq!(d.completed_depth, 0);
         assert!(d.budget_exhausted);
         assert_eq!(d.q_values.len(), pomdp.n_actions());
@@ -560,7 +556,7 @@ mod tests {
         // Enough for depth 1 but (with the depth-1 spend subtracted)
         // not for depth 2.
         let budget = d1.nodes_expanded + 1;
-        let d = anytime_expand(pomdp, &b, &bound, 3, budget, 1.0, 0.0).unwrap();
+        let d = anytime_expand(pomdp, &b, &bound, 3, budget).unwrap();
         assert_eq!(d.completed_depth, 1);
         assert!(d.budget_exhausted);
         assert_eq!(d.action, d1.action);
@@ -571,11 +567,32 @@ mod tests {
     }
 
     #[test]
+    fn greedy_and_tree_argmax_share_the_last_maximal_tie_rule() {
+        // The depth-0 fallback's rule.
+        assert_eq!(argmax_last(&[1.0, 3.0, 3.0]).0, ActionId::new(2));
+        let (a, v) = argmax_last(&[-0.0, 0.0]);
+        assert_eq!(a, ActionId::new(1));
+        assert_eq!(v.to_bits(), 0.0f64.to_bits());
+        // A completed pass applies the same rule at the tree root: in
+        // the absorbing terminate state every action is free.
+        let (model, bound) = setup();
+        let done = Belief::point(4, model.terminate_state());
+        for max_depth in 1..=2 {
+            let d = anytime_expand(model.pomdp(), &done, &bound, max_depth, usize::MAX).unwrap();
+            assert_eq!(d.completed_depth, max_depth);
+            let maximal: Vec<usize> = (0..d.q_values.len())
+                .filter(|&i| d.q_values[i] == d.value)
+                .collect();
+            assert!(maximal.len() > 1, "no tie to break: {:?}", d.q_values);
+            assert_eq!(d.action.index(), *maximal.last().unwrap());
+            assert_eq!(argmax_last(&d.q_values), (d.action, d.value));
+        }
+    }
+
+    #[test]
     fn zero_depth_is_rejected() {
         let (model, bound) = setup();
-        assert!(
-            anytime_expand(model.pomdp(), &Belief::uniform(4), &bound, 0, 100, 1.0, 0.0).is_err()
-        );
+        assert!(anytime_expand(model.pomdp(), &Belief::uniform(4), &bound, 0, 100).is_err());
     }
 
     #[test]

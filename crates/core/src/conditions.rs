@@ -132,7 +132,7 @@ pub fn check_uniform_improvability(
     use bpr_pomdp::bounds::ValueBound;
     for (i, belief) in probes.iter().enumerate() {
         let v = bound.value(belief);
-        let lp = bpr_pomdp::tree::expand(pomdp, belief, 1, bound, 1.0)
+        let lp = bpr_pomdp::tree::expand_with_cutoff(pomdp, belief, 1, bound, 1.0, 0.0)
             .map_err(Error::Pomdp)?
             .value;
         if v > lp + tolerance {

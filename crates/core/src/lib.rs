@@ -51,8 +51,7 @@ pub mod scenario;
 pub mod snapshot;
 
 pub use anytime::{
-    anytime_expand, anytime_expand_with_workspace, AnytimeConfig, AnytimeController,
-    AnytimeDecision, AnytimeStats,
+    anytime_expand_with_workspace, AnytimeConfig, AnytimeController, AnytimeDecision, AnytimeStats,
 };
 pub use bounded::{BoundedConfig, BoundedController};
 pub use controller::{RecoveryController, ResilienceStats, Step};

@@ -440,7 +440,7 @@ impl TerminatedModel {
     /// Lumps the transformed model by its monitor-aliasing partition:
     /// the lint analyzer's exact-bit equivalence classes
     /// ([`bpr_lint::checks::monitor_partition`]) seed
-    /// [`bpr_pomdp::lump`], which refines them to a sound
+    /// [`bpr_pomdp::lump()`], which refines them to a sound
     /// state-aggregation quotient (see its module docs). The quotient
     /// is returned as a [`TerminatedModel`] whose `s_T`, `a_T`, and
     /// null-state bookkeeping are mapped through the certificate, so
@@ -456,7 +456,7 @@ impl TerminatedModel {
     /// # Errors
     ///
     /// Propagates quotient-construction failures from
-    /// [`bpr_pomdp::lump`] (they indicate a malformed model).
+    /// [`bpr_pomdp::lump()`] (they indicate a malformed model).
     pub fn lump(&self) -> Result<(TerminatedModel, bpr_pomdp::LumpCertificate), Error> {
         let mut seed: Vec<Vec<StateId>> = Vec::new();
         for class in bpr_lint::checks::monitor_partition(&self.pomdp) {

@@ -161,7 +161,9 @@ mod tests {
         // The refined bound still satisfies Property 1(b) at the grid.
         for b in simplex_grid(3, 3) {
             let v = bound.value(&b);
-            let lp = crate::tree::expand(&p, &b, 1, &bound, 1.0).unwrap().value;
+            let lp = crate::tree::expand_with_cutoff(&p, &b, 1, &bound, 1.0, 0.0)
+                .unwrap()
+                .value;
             assert!(v <= lp + 1e-7);
         }
     }

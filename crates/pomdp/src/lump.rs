@@ -519,10 +519,8 @@ mod tests {
         let full = Belief::from_probs(vec![0.1, 0.3, 0.2, 0.25, 0.15]).unwrap();
         let projected = l.certificate.project(&full);
         for a in 0..p.n_actions() {
-            let full_succ =
-                crate::tree::fused_successors(&p, &full, bpr_mdp::ActionId::new(a), 0.0);
-            let q_succ =
-                crate::tree::fused_successors(&l.pomdp, &projected, bpr_mdp::ActionId::new(a), 0.0);
+            let full_succ = full.successors(&p, bpr_mdp::ActionId::new(a), 0.0);
+            let q_succ = projected.successors(&l.pomdp, bpr_mdp::ActionId::new(a), 0.0);
             assert_eq!(full_succ.len(), q_succ.len(), "branch count, action {a}");
             for ((o1, g1, b1), (o2, g2, b2)) in full_succ.iter().zip(&q_succ) {
                 assert_eq!(o1, o2);

@@ -54,7 +54,7 @@ pub struct PlanStats {
     pub cache_misses: u64,
     /// The subset of `cache_hits` whose entry was stored by an
     /// *earlier* decision — i.e. reuse enabled by the epoch cache.
-    /// Always zero under [`PlanWorkspace::begin`] semantics.
+    /// Always zero for decisions opened without a [`CacheEpoch`].
     pub cross_decision_hits: u64,
     /// Cache hits bucketed by remaining depth (index = depth). The
     /// vectors grow to the deepest depth seen and then stay fixed, so
@@ -105,7 +105,6 @@ pub struct PlanWorkspace {
     arena: Vec<Vec<f64>>,
     frames: Vec<BbFrame>,
     cache: BeliefCache,
-    q_scratch: Vec<f64>,
     decision: Decision,
     stats: PlanStats,
     /// Epoch the cache entries were computed under; `None` until an
@@ -149,8 +148,10 @@ impl PlanWorkspace {
         self.stats.buffers_allocated = 0;
     }
 
-    /// The decision produced by the most recent `*_with_workspace`
-    /// expansion.
+    /// The decision produced by the most recent expansion into this
+    /// workspace. After a budgeted pass
+    /// ([`crate::tree::expand_budgeted`]) it is valid only when the pass
+    /// reported `completed`; an aborted pass leaves it partial.
     pub fn decision(&self) -> &Decision {
         &self.decision
     }
@@ -158,21 +159,7 @@ impl PlanWorkspace {
     /// Moves the most recent decision out, leaving an empty placeholder
     /// (used by the allocating convenience wrappers).
     pub fn take_decision(&mut self) -> Decision {
-        std::mem::replace(
-            &mut self.decision,
-            Decision {
-                action: ActionId::new(0),
-                value: f64::NEG_INFINITY,
-                q_values: Vec::new(),
-                nodes_expanded: 0,
-            },
-        )
-    }
-
-    /// The per-action root values of the most recent *completed*
-    /// budgeted pass ([`crate::tree::expand_budgeted`]).
-    pub fn q_scratch(&self) -> &[f64] {
-        &self.q_scratch
+        std::mem::take(&mut self.decision)
     }
 
     /// Starts a new decision: empties the transposition cache (bounds
@@ -297,14 +284,6 @@ impl PlanWorkspace {
                 None
             }
         }
-    }
-
-    pub(crate) fn q_clear(&mut self) {
-        self.q_scratch.clear();
-    }
-
-    pub(crate) fn q_push(&mut self, q: f64) {
-        self.q_scratch.push(q);
     }
 
     pub(crate) fn decision_clear(&mut self) {

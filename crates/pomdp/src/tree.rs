@@ -24,7 +24,7 @@
 
 use crate::bounds::ValueBound;
 use crate::plan::{BbEntry, CacheEpoch, PlanWorkspace};
-use crate::{Belief, Error, ObservationId, Pomdp};
+use crate::{Belief, Error, Pomdp};
 use bpr_linalg::dense;
 use bpr_mdp::ActionId;
 use bpr_par::WorkPool;
@@ -68,25 +68,10 @@ fn depth_zero_error() -> Error {
 /// branches, and evaluate the leaf bound at the successor beliefs.
 /// `depth = 0` is rejected because it makes no decision.
 ///
-/// Observation branches with probability below `gamma_cutoff` are
-/// pruned (their contribution to the average is bounded by the cutoff
-/// times the worst bound value); `0.0` disables pruning of everything
-/// except genuinely impossible observations.
-///
-/// # Errors
-///
-/// * [`Error::IndexOutOfBounds`] if `depth == 0`.
-pub fn expand(
-    pomdp: &Pomdp,
-    belief: &Belief,
-    depth: usize,
-    leaf: &dyn ValueBound,
-    beta: f64,
-) -> Result<Decision, Error> {
-    expand_with_cutoff(pomdp, belief, depth, leaf, beta, 0.0)
-}
-
-/// [`expand`] with an explicit observation-probability cutoff.
+/// Observation branches with probability at or below `gamma_cutoff`
+/// are pruned (their contribution to the average is bounded by the
+/// cutoff times the worst bound value); `0.0` disables pruning of
+/// everything except genuinely impossible observations.
 ///
 /// Convenience wrapper over [`expand_with_workspace`] that pays one
 /// workspace construction per call; controllers making repeated
@@ -94,7 +79,7 @@ pub fn expand(
 ///
 /// # Errors
 ///
-/// Same as [`expand`].
+/// * [`Error::IndexOutOfBounds`] if `depth == 0`.
 pub fn expand_with_cutoff(
     pomdp: &Pomdp,
     belief: &Belief,
@@ -117,7 +102,7 @@ pub fn expand_with_cutoff(
 ///
 /// # Errors
 ///
-/// Same as [`expand`].
+/// Same as [`expand_with_cutoff`].
 #[allow(clippy::too_many_arguments)]
 pub fn expand_with_workspace(
     pomdp: &Pomdp,
@@ -132,16 +117,16 @@ pub fn expand_with_workspace(
         return Err(depth_zero_error());
     }
     ws.begin();
-    expand_root(pomdp, belief, depth, leaf, beta, gamma_cutoff, ws);
+    let kernel = Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff);
+    expand_root(&kernel, belief, depth, ws).expect("unbudgeted expansion never aborts");
     Ok(())
 }
 
-/// [`expand_with_workspace`] under an explicit
-/// [`CacheEpoch`](crate::plan::CacheEpoch): the workspace's
-/// transposition cache survives **across decisions** for as long as
-/// the epoch — `(model fingerprint, bound generation, β bits, cutoff
-/// bits)` — is unchanged, so consecutive decisions on the same
-/// incident replay shared subtrees instead of re-expanding them.
+/// [`expand_with_workspace`] under an explicit [`CacheEpoch`]: the
+/// workspace's transposition cache survives **across decisions** for
+/// as long as the epoch — `(model fingerprint, bound generation, β
+/// bits, cutoff bits)` — is unchanged, so consecutive decisions on the
+/// same incident replay shared subtrees instead of re-expanding them.
 ///
 /// The caller is responsible for the epoch naming every input the
 /// cached values depend on: build it from
@@ -154,7 +139,7 @@ pub fn expand_with_workspace(
 ///
 /// # Errors
 ///
-/// Same as [`expand`].
+/// Same as [`expand_with_cutoff`].
 #[allow(clippy::too_many_arguments)]
 pub fn expand_with_workspace_epoch(
     pomdp: &Pomdp,
@@ -170,30 +155,25 @@ pub fn expand_with_workspace_epoch(
         return Err(depth_zero_error());
     }
     ws.begin_epoch(epoch);
-    expand_root(pomdp, belief, depth, leaf, beta, gamma_cutoff, ws);
+    let kernel = Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff);
+    expand_root(&kernel, belief, depth, ws).expect("unbudgeted expansion never aborts");
     Ok(())
 }
 
-/// Shared root loop of the plain workspace expansions (the caller has
-/// already validated `depth` and opened the decision on `ws`).
+/// The one root loop of every sequential plain expansion, budgeted or
+/// not (the caller has already validated `depth` and, for unbudgeted
+/// passes, opened the decision on `ws`). Writes the per-action values,
+/// the last-maximal argmax, and the node count into
+/// [`PlanWorkspace::decision`]; returns the nodes spent, or
+/// `Err(nodes)` when `kernel.budget` ran out, in which case the
+/// workspace decision is partial and must not be read.
 fn expand_root(
-    pomdp: &Pomdp,
+    kernel: &Kernel,
     belief: &Belief,
     depth: usize,
-    leaf: &dyn ValueBound,
-    beta: f64,
-    gamma_cutoff: f64,
     ws: &mut PlanWorkspace,
-) {
+) -> Result<usize, usize> {
     ws.decision_clear();
-    let kernel = Kernel {
-        pomdp,
-        leaf,
-        beta,
-        cutoff: gamma_cutoff,
-        use_cache: true,
-        budget: usize::MAX,
-    };
     let mut nodes = 0usize;
     // Under epoch semantics the root's per-action values are cached
     // too, keyed `(depth, action, belief)`: repeated decisions on the
@@ -201,9 +181,10 @@ fn expand_root(
     // dominate at depth 1 on large models. A hit replays the exact q
     // and node count the subtree would have produced, so the Decision
     // stays bit-identical. Without an epoch the cache is cleared per
-    // decision and root entries could never hit, so skip the traffic.
-    let cache_root = ws.has_epoch();
-    for a in 0..pomdp.n_actions() {
+    // decision and root entries could never hit, so skip the traffic;
+    // budgeted passes never touch the cache at all.
+    let cache_root = kernel.use_cache && ws.has_epoch();
+    for a in 0..kernel.pomdp.n_actions() {
         if cache_root {
             if let Some((q, sub)) = ws.root_cache_get(depth, a, belief.probs()) {
                 nodes += sub;
@@ -212,9 +193,9 @@ fn expand_root(
             }
         }
         let before = nodes;
-        let q = kernel
-            .action_q(ws, belief.probs(), a, depth, &mut nodes)
-            .expect("unbudgeted expansion never aborts");
+        let Some(q) = kernel.action_q(ws, belief.probs(), a, depth, &mut nodes) else {
+            return Err(nodes);
+        };
         if cache_root {
             ws.root_cache_put(depth, a, belief.probs(), q, nodes - before);
         }
@@ -222,6 +203,7 @@ fn expand_root(
     }
     let (best_a, best_q) = argmax_last(ws.q_values());
     ws.finish_decision(ActionId::new(best_a), best_q, nodes);
+    Ok(nodes)
 }
 
 /// Root-parallel [`expand_with_cutoff`]: the root actions are expanded
@@ -238,7 +220,7 @@ fn expand_root(
 ///
 /// # Errors
 ///
-/// Same as [`expand`].
+/// Same as [`expand_with_cutoff`].
 pub fn expand_par(
     pomdp: &Pomdp,
     belief: &Belief,
@@ -253,14 +235,7 @@ pub fn expand_par(
     }
     let results: Vec<(f64, usize)> =
         pool.map_indices_with(pomdp.n_actions(), PlanWorkspace::new, |ws, a| {
-            let kernel = Kernel {
-                pomdp,
-                leaf: leaf as &dyn ValueBound,
-                beta,
-                cutoff: gamma_cutoff,
-                use_cache: true,
-                budget: usize::MAX,
-            };
+            let kernel = Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff);
             let mut nodes = 0usize;
             let q = kernel
                 .action_q(ws, belief.probs(), a, depth, &mut nodes)
@@ -283,14 +258,17 @@ pub fn expand_par(
 pub struct BudgetedPass {
     /// Nodes expanded before finishing or aborting.
     pub nodes_spent: usize,
-    /// Whether the pass finished within its budget. When `true` the
-    /// per-action root values are in [`PlanWorkspace::q_scratch`].
+    /// Whether the pass finished within its budget. Only then does
+    /// [`PlanWorkspace::decision`] hold the pass's decision; after an
+    /// aborted pass it is partial and must not be read.
     pub completed: bool,
 }
 
 /// One depth-`depth` expansion pass that aborts as soon as more than
 /// `budget` nodes have been expanded (the anytime controller's
-/// iterative-deepening primitive).
+/// iterative-deepening primitive). A completed pass leaves the same
+/// [`Decision`] in [`PlanWorkspace::decision`] as
+/// [`expand_with_workspace`] would.
 ///
 /// The transposition cache is **not** used here: a budgeted pass's
 /// abort point must depend only on the literal expansion order, so a
@@ -300,7 +278,7 @@ pub struct BudgetedPass {
 ///
 /// # Errors
 ///
-/// Same as [`expand`].
+/// Same as [`expand_with_cutoff`].
 #[allow(clippy::too_many_arguments)]
 pub fn expand_budgeted(
     pomdp: &Pomdp,
@@ -316,80 +294,40 @@ pub fn expand_budgeted(
         return Err(depth_zero_error());
     }
     let kernel = Kernel {
-        pomdp,
-        leaf,
-        beta,
-        cutoff: gamma_cutoff,
         use_cache: false,
         budget,
+        ..Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
     };
-    ws.q_clear();
-    let mut nodes = 0usize;
-    for a in 0..pomdp.n_actions() {
-        match kernel.action_q(ws, belief.probs(), a, depth, &mut nodes) {
-            Some(q) => ws.q_push(q),
-            None => {
-                return Ok(BudgetedPass {
-                    nodes_spent: nodes,
-                    completed: false,
-                })
-            }
-        }
-    }
+    let (nodes_spent, completed) = match expand_root(&kernel, belief, depth, ws) {
+        Ok(nodes) => (nodes, true),
+        Err(nodes) => (nodes, false),
+    };
     Ok(BudgetedPass {
-        nodes_spent: nodes,
-        completed: true,
+        nodes_spent,
+        completed,
     })
 }
 
 /// Expands the recursion with **branch-and-bound pruning**: an upper
 /// bound orders the actions and prunes those whose optimistic value
 /// cannot beat the best action found so far — the use of upper bounds
-/// the paper's conclusion proposes as future work.
+/// the paper's conclusion proposes as future work. The result lands in
+/// [`PlanWorkspace::decision`].
 ///
 /// Produces exactly the same decision values as
 /// [`expand_with_cutoff`] (pruned actions are provably not maximisers;
 /// their reported q-value is their upper estimate), typically expanding
-/// far fewer nodes.
+/// far fewer nodes, and is bit-identical to
+/// [`legacy::expand_branch_and_bound`].
+///
+/// The root and the recursion share one collect-score-prune helper;
+/// they differ only in that the root reports a q-value for every action
+/// (pruned ones get their upper estimate) while interior nodes stop at
+/// the first prunable entry of the sorted order.
 ///
 /// # Errors
 ///
-/// Same as [`expand`].
-pub fn expand_branch_and_bound(
-    pomdp: &Pomdp,
-    belief: &Belief,
-    depth: usize,
-    lower: &dyn ValueBound,
-    upper: &dyn ValueBound,
-    beta: f64,
-    gamma_cutoff: f64,
-) -> Result<Decision, Error> {
-    let mut ws = PlanWorkspace::new();
-    expand_branch_and_bound_with_workspace(
-        pomdp,
-        belief,
-        depth,
-        lower,
-        upper,
-        beta,
-        gamma_cutoff,
-        &mut ws,
-    )?;
-    Ok(ws.take_decision())
-}
-
-/// [`expand_branch_and_bound`] writing into a reusable
-/// [`PlanWorkspace`]; the result lands in [`PlanWorkspace::decision`].
-///
-/// The root and the recursion share one collect-score-prune helper
-/// ([`BbKernel::collect`]); they differ only in that the root reports a
-/// q-value for every action (pruned ones get their upper estimate)
-/// while interior nodes stop at the first prunable entry of the sorted
-/// order.
-///
-/// # Errors
-///
-/// Same as [`expand`].
+/// Same as [`expand_with_cutoff`].
 #[allow(clippy::too_many_arguments)]
 pub fn expand_branch_and_bound_with_workspace(
     pomdp: &Pomdp,
@@ -443,46 +381,6 @@ pub fn expand_branch_and_bound_with_workspace(
     Ok(())
 }
 
-/// The fused-operator successor enumeration, as an allocating
-/// convenience mirroring [`Belief::successors`]'s signature.
-///
-/// Bit-identical to the legacy two-pass scatter: same `γ` values, same
-/// posteriors, same (ascending-observation) branch order, same
-/// cutoff/impossibility filtering. The planning kernel inlines this
-/// loop against workspace scratch; this entry point exists for belief
-/// consumers and for the equivalence proptests.
-pub fn fused_successors(
-    pomdp: &Pomdp,
-    belief: &Belief,
-    action: ActionId,
-    gamma_cutoff: f64,
-) -> Vec<(ObservationId, f64, Belief)> {
-    let n = pomdp.n_states();
-    let mut pred = vec![0.0; n];
-    pomdp
-        .mdp()
-        .transition_matrix(action)
-        .matvec_transpose_into(belief.probs(), &mut pred)
-        .expect("belief length matches model");
-    let obs_t = pomdp.observation_transpose(action);
-    let mut out = Vec::new();
-    for o in 0..pomdp.n_observations() {
-        let mut post = vec![0.0; n];
-        let gamma = obs_t
-            .row_scaled_into(o, &pred, &mut post)
-            .expect("prediction length matches model");
-        if gamma > gamma_cutoff && gamma > 0.0 {
-            if gamma.is_finite() {
-                for v in &mut post {
-                    *v /= gamma;
-                }
-            }
-            out.push((ObservationId::new(o), gamma, Belief::from_raw(post)));
-        }
-    }
-    out
-}
-
 /// `max_by` over the q-values, replicating the iterator's
 /// last-maximal-element tie-breaking of the legacy root argmax.
 fn argmax_last(q_values: &[f64]) -> (usize, f64) {
@@ -507,7 +405,24 @@ struct Kernel<'a> {
     budget: usize,
 }
 
-impl Kernel<'_> {
+impl<'a> Kernel<'a> {
+    /// The cached, unbudgeted engine every plain expansion runs on.
+    fn unbudgeted(
+        pomdp: &'a Pomdp,
+        leaf: &'a dyn ValueBound,
+        beta: f64,
+        cutoff: f64,
+    ) -> Kernel<'a> {
+        Kernel {
+            pomdp,
+            leaf,
+            beta,
+            cutoff,
+            use_cache: true,
+            budget: usize::MAX,
+        }
+    }
+
     /// `Q(belief, a)` at `depth` remaining action layers; `None` if the
     /// node budget ran out mid-subtree.
     fn action_q(
@@ -707,7 +622,7 @@ pub mod legacy {
     ///
     /// # Errors
     ///
-    /// Same as [`super::expand`].
+    /// Same as [`super::expand_with_cutoff`].
     pub fn expand_with_cutoff(
         pomdp: &Pomdp,
         belief: &Belief,
@@ -748,11 +663,11 @@ pub mod legacy {
         })
     }
 
-    /// Pre-fusion [`super::expand_branch_and_bound`].
+    /// Pre-fusion [`super::expand_branch_and_bound_with_workspace`].
     ///
     /// # Errors
     ///
-    /// Same as [`super::expand`].
+    /// Same as [`super::expand_with_cutoff`].
     pub fn expand_branch_and_bound(
         pomdp: &Pomdp,
         belief: &Belief,
@@ -941,11 +856,25 @@ mod tests {
     use crate::bounds::{ra_bound, ConstantBound};
     use bpr_mdp::chain::SolveOpts;
 
+    fn bb_decision(
+        pomdp: &Pomdp,
+        belief: &Belief,
+        depth: usize,
+        lower: &dyn ValueBound,
+        upper: &dyn ValueBound,
+    ) -> Result<Decision, Error> {
+        let mut ws = PlanWorkspace::new();
+        expand_branch_and_bound_with_workspace(
+            pomdp, belief, depth, lower, upper, 1.0, 0.0, &mut ws,
+        )?;
+        Ok(ws.take_decision())
+    }
+
     #[test]
     fn depth_zero_is_rejected() {
         let p = two_server_notified();
         let bound = ConstantBound(0.0);
-        assert!(expand(&p, &Belief::uniform(3), 0, &bound, 1.0).is_err());
+        assert!(expand_with_cutoff(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0).is_err());
         assert!(legacy::expand_with_cutoff(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0).is_err());
         let pool = WorkPool::serial();
         assert!(expand_par(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0, &pool).is_err());
@@ -959,9 +888,9 @@ mod tests {
     fn certain_fault_picks_matching_restart() {
         let p = two_server_notified();
         let bound = ra_bound(&p, &SolveOpts::default()).unwrap();
-        let d = expand(&p, &Belief::point(3, 0.into()), 1, &bound, 1.0).unwrap();
+        let d = expand_with_cutoff(&p, &Belief::point(3, 0.into()), 1, &bound, 1.0, 0.0).unwrap();
         assert_eq!(d.action.index(), 0, "q = {:?}", d.q_values);
-        let d = expand(&p, &Belief::point(3, 1.into()), 1, &bound, 1.0).unwrap();
+        let d = expand_with_cutoff(&p, &Belief::point(3, 1.into()), 1, &bound, 1.0, 0.0).unwrap();
         assert_eq!(d.action.index(), 1);
     }
 
@@ -969,7 +898,7 @@ mod tests {
     fn null_belief_prefers_free_observe() {
         let p = two_server_notified();
         let bound = ra_bound(&p, &SolveOpts::default()).unwrap();
-        let d = expand(&p, &Belief::point(3, 2.into()), 2, &bound, 1.0).unwrap();
+        let d = expand_with_cutoff(&p, &Belief::point(3, 2.into()), 2, &bound, 1.0, 0.0).unwrap();
         // Observe costs nothing in Null (the looping action with r = 0).
         assert_eq!(d.action.index(), 2, "q = {:?}", d.q_values);
         assert!((d.value - 0.0).abs() < 1e-9);
@@ -985,7 +914,7 @@ mod tests {
         let b = Belief::uniform(3);
         let mut prev = f64::NEG_INFINITY;
         for depth in 1..=4 {
-            let d = expand(&p, &b, depth, &bound, 1.0).unwrap();
+            let d = expand_with_cutoff(&p, &b, depth, &bound, 1.0, 0.0).unwrap();
             assert!(
                 d.value + 1e-9 >= prev,
                 "depth {depth} lowered value: {prev} -> {}",
@@ -999,7 +928,7 @@ mod tests {
     fn q_values_are_reported_for_all_actions() {
         let p = two_server_notified();
         let bound = ra_bound(&p, &SolveOpts::default()).unwrap();
-        let d = expand(&p, &Belief::uniform(3), 1, &bound, 1.0).unwrap();
+        let d = expand_with_cutoff(&p, &Belief::uniform(3), 1, &bound, 1.0, 0.0).unwrap();
         assert_eq!(d.q_values.len(), 3);
         assert!(d.q_values.iter().all(|q| q.is_finite()));
         let max = d.q_values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -1011,8 +940,8 @@ mod tests {
         let p = two_server_notified();
         let bound = ConstantBound(0.0);
         let b = Belief::uniform(3);
-        let d1 = expand(&p, &b, 1, &bound, 1.0).unwrap();
-        let d2 = expand(&p, &b, 2, &bound, 1.0).unwrap();
+        let d1 = expand_with_cutoff(&p, &b, 1, &bound, 1.0, 0.0).unwrap();
+        let d2 = expand_with_cutoff(&p, &b, 2, &bound, 1.0, 0.0).unwrap();
         assert!(d2.nodes_expanded > d1.nodes_expanded);
     }
 
@@ -1041,8 +970,8 @@ mod tests {
         ] {
             let b = Belief::from_probs(probs).unwrap();
             for depth in 1..=3 {
-                let plain = expand(&p, &b, depth, &lower, 1.0).unwrap();
-                let bb = expand_branch_and_bound(&p, &b, depth, &lower, &upper, 1.0, 0.0).unwrap();
+                let plain = expand_with_cutoff(&p, &b, depth, &lower, 1.0, 0.0).unwrap();
+                let bb = bb_decision(&p, &b, depth, &lower, &upper).unwrap();
                 assert!(
                     (bb.value - plain.value).abs() < 1e-9,
                     "depth {depth}: {} vs {}",
@@ -1064,9 +993,7 @@ mod tests {
     fn branch_and_bound_rejects_zero_depth() {
         let p = two_server_notified();
         let bound = ConstantBound(0.0);
-        assert!(
-            expand_branch_and_bound(&p, &Belief::uniform(3), 0, &bound, &bound, 1.0, 0.0).is_err()
-        );
+        assert!(bb_decision(&p, &Belief::uniform(3), 0, &bound, &bound).is_err());
     }
 
     #[test]
@@ -1077,8 +1004,8 @@ mod tests {
         let lower = ra_bound(&p, &SolveOpts::default()).unwrap();
         let upper = ConstantBound(0.0);
         let b = Belief::uniform(3);
-        let lo = expand(&p, &b, 2, &lower, 1.0).unwrap();
-        let hi = expand(&p, &b, 2, &upper, 1.0).unwrap();
+        let lo = expand_with_cutoff(&p, &b, 2, &lower, 1.0, 0.0).unwrap();
+        let hi = expand_with_cutoff(&p, &b, 2, &upper, 1.0, 0.0).unwrap();
         assert!(hi.value + 1e-9 >= lo.value);
     }
 
@@ -1093,26 +1020,6 @@ mod tests {
             Belief::from_probs(vec![0.05, 0.9, 0.05]).unwrap(),
             Belief::from_probs(vec![0.3, 0.3, 0.4]).unwrap(),
         ]
-    }
-
-    #[test]
-    fn fused_successors_are_bit_identical_to_legacy() {
-        let p = two_server_notified();
-        for b in probe_beliefs() {
-            for a in 0..p.n_actions() {
-                for cutoff in [0.0, 0.05, 0.3] {
-                    let action = ActionId::new(a);
-                    let old = b.successors(&p, action, cutoff);
-                    let new = fused_successors(&p, &b, action, cutoff);
-                    assert_eq!(old.len(), new.len(), "branch count a={a} cutoff={cutoff}");
-                    for ((o1, g1, b1), (o2, g2, b2)) in old.iter().zip(&new) {
-                        assert_eq!(o1, o2);
-                        assert_eq!(g1.to_bits(), g2.to_bits(), "gamma differs at {o1}");
-                        assert_eq!(b1.probs(), b2.probs(), "posterior differs at {o1}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1141,7 +1048,7 @@ mod tests {
             for depth in 1..=3 {
                 let old = legacy::expand_branch_and_bound(&p, &b, depth, &lower, &upper, 1.0, 0.0)
                     .unwrap();
-                let new = expand_branch_and_bound(&p, &b, depth, &lower, &upper, 1.0, 0.0).unwrap();
+                let new = bb_decision(&p, &b, depth, &lower, &upper).unwrap();
                 assert_eq!(old, new, "depth={depth}");
             }
         }
@@ -1250,7 +1157,7 @@ mod tests {
             expand_budgeted(&p, &b, 2, &ra, 1.0, 0.0, plain.nodes_expanded, &mut ws).unwrap();
         assert!(pass.completed);
         assert_eq!(pass.nodes_spent, plain.nodes_expanded);
-        assert_eq!(ws.q_scratch(), plain.q_values.as_slice());
+        assert_eq!(ws.decision(), &plain);
         // One node fewer and the pass must abort.
         let pass =
             expand_budgeted(&p, &b, 2, &ra, 1.0, 0.0, plain.nodes_expanded - 1, &mut ws).unwrap();

@@ -222,8 +222,8 @@ proptest! {
         let b = Belief::from_probs(weights[..n].iter().map(|w| w / sum).collect())
             .expect("valid belief");
         let ra = ra_bound(&p, &Default::default()).expect("RA exists");
-        let v1 = tree::expand(&p, &b, 1, &ra, 1.0).expect("d1").value;
-        let v2 = tree::expand(&p, &b, 2, &ra, 1.0).expect("d2").value;
+        let v1 = tree::expand_with_cutoff(&p, &b, 1, &ra, 1.0, 0.0).expect("d1").value;
+        let v2 = tree::expand_with_cutoff(&p, &b, 2, &ra, 1.0, 0.0).expect("d2").value;
         prop_assert!(v2 + 1e-9 >= v1, "depth 2 ({v2}) below depth 1 ({v1})");
         prop_assert!(v1 + 1e-9 >= ra.value(&b), "L_p dropped below the bound");
     }

@@ -267,7 +267,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use core::ops::{Range, RangeInclusive};
 
-    /// Lengths accepted by [`vec`]: an exact size or a range of sizes.
+    /// Lengths accepted by [`vec()`]: an exact size or a range of sizes.
     pub trait IntoSizeRange {
         /// Draws a length.
         fn draw_len(&self, rng: &mut TestRng) -> usize;

@@ -9,7 +9,7 @@
 //! per-monitor false-positive/false-negative rates), and its hazard
 //! families (component crashes and zombies, host crashes, network
 //! partitions, rolling-deploy faults, cascading restart failures);
-//! [`compile`] turns it into a validated
+//! [`compile()`] turns it into a validated
 //! [`bpr_core::RecoveryModel`] through the shared
 //! [`bpr_core::blueprint`] pipeline.
 //!
@@ -21,7 +21,7 @@
 //! Scale is kept tractable by design: recovery actions are coarse
 //! (group restarts, rack reboots) so `|A|` stays in the tens, and
 //! observations use a first-alarm encoding so `|O|` grows linearly in
-//! the monitor count instead of exponentially. The [`corpus`] module
+//! the monitor count instead of exponentially. The [`corpus`](mod@corpus) module
 //! ships named scenarios from 10² to 10⁴ states behind the
 //! [`bpr_core::scenario::Scenario`] registry API.
 //!

@@ -4,7 +4,7 @@
 //! A spec describes a tiered service deployment (tiers × services ×
 //! replicas placed round-robin across hosts and racks), the monitor
 //! fleet watching it, and the hazard families that can strike it. It is
-//! plain data — compilation into a POMDP happens in [`crate::compile`].
+//! plain data — compilation into a POMDP happens in [`crate::compile()`].
 //! Following the workspace's validated-builder convention
 //! (`BootstrapConfig`, `HarnessConfig`), the struct's fields are public
 //! and [`TopologySpec::validate`] is the single source of truth; the
@@ -139,7 +139,7 @@ impl Default for DurationSpec {
 }
 
 /// A declarative datacenter topology, compiled into a validated
-/// recovery model by [`crate::compile`].
+/// recovery model by [`crate::compile()`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// The tier stack, front to back. Requests traverse every tier;

@@ -59,7 +59,9 @@ fn property_1b_ra_bound_is_below_its_own_backup() {
     let ra = ra_bound(pomdp, &SolveOpts::default()).expect("RA exists");
     for b in probe_beliefs(pomdp.n_states()) {
         let v = ra.value(&b);
-        let lp = tree::expand(pomdp, &b, 1, &ra, 1.0).expect("expand").value;
+        let lp = tree::expand_with_cutoff(pomdp, &b, 1, &ra, 1.0, 0.0)
+            .expect("expand")
+            .value;
         assert!(v <= lp + 1e-7, "V_B({b:?}) = {v} exceeds L_p V_B = {lp}");
     }
 }
@@ -79,7 +81,9 @@ fn backups_preserve_property_1b() {
     }
     for b in &beliefs {
         let v = set.value(b);
-        let lp = tree::expand(pomdp, b, 1, &set, 1.0).expect("expand").value;
+        let lp = tree::expand_with_cutoff(pomdp, b, 1, &set, 1.0, 0.0)
+            .expect("expand")
+            .value;
         assert!(v <= lp + 1e-7, "property 1(b) broken after backups");
     }
 }

@@ -11,10 +11,11 @@
 //! channels, beliefs with zero entries) through both paths and demand
 //! exact equality.
 
+use bpr_core::anytime_expand_with_workspace;
 use bpr_mdp::MdpBuilder;
 use bpr_par::WorkPool;
 use bpr_pomdp::bounds::{ConstantBound, ValueBound, VectorSetBound};
-use bpr_pomdp::{tree, Belief, Pomdp, PomdpBuilder};
+use bpr_pomdp::{tree, Belief, PlanWorkspace, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,27 +120,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn fused_successors_match_legacy_bitwise(
-        spec in arb_pomdp(),
-        cutoff in prop_oneof![Just(0.0), 0.0f64..0.2],
-    ) {
-        let pomdp = build(&spec);
-        for belief in probe_beliefs(&pomdp, spec.seed) {
-            for a in 0..pomdp.n_actions() {
-                let action = bpr_mdp::ActionId::new(a);
-                let old = belief.successors(&pomdp, action, cutoff);
-                let new = tree::fused_successors(&pomdp, &belief, action, cutoff);
-                prop_assert_eq!(old.len(), new.len(), "branch count, action {}", a);
-                for ((o1, g1, b1), (o2, g2, b2)) in old.iter().zip(&new) {
-                    prop_assert_eq!(o1, o2, "branch order");
-                    prop_assert_eq!(g1.to_bits(), g2.to_bits(), "gamma bits at {}", o1);
-                    prop_assert_eq!(b1.probs(), b2.probs(), "posterior at {}", o1);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fused_expansion_matches_legacy_decisions(
         spec in arb_pomdp(),
         depth in 1usize..=2,
@@ -192,11 +172,75 @@ proptest! {
                 &pomdp, &belief, depth, &lower, &upper, 1.0, 0.0,
             )
             .expect("legacy b&b expands");
-            let new = tree::expand_branch_and_bound(
-                &pomdp, &belief, depth, &lower, &upper, 1.0, 0.0,
+            let mut ws = PlanWorkspace::new();
+            tree::expand_branch_and_bound_with_workspace(
+                &pomdp, &belief, depth, &lower, &upper, 1.0, 0.0, &mut ws,
             )
             .expect("fused b&b expands");
-            prop_assert_eq!(old, new);
+            prop_assert_eq!(old, ws.take_decision());
+        }
+    }
+
+    #[test]
+    fn budgeted_and_plain_passes_share_one_root(
+        spec in arb_pomdp(),
+        depth in 1usize..=2,
+    ) {
+        // `expand_budgeted` and `expand_with_workspace` run the same
+        // root loop: an exact budget completes with the plain node
+        // count and a bit-identical decision, one node less aborts.
+        let pomdp = build(&spec);
+        let lower = random_lower(&pomdp, spec.seed);
+        let mut plain_ws = PlanWorkspace::new();
+        let mut ws = PlanWorkspace::new();
+        for belief in probe_beliefs(&pomdp, spec.seed) {
+            tree::expand_with_workspace(
+                &pomdp, &belief, depth, &lower, 1.0, 0.0, &mut plain_ws,
+            )
+            .expect("plain expands");
+            let plain = plain_ws.decision();
+            let nodes = plain.nodes_expanded;
+            let pass = tree::expand_budgeted(
+                &pomdp, &belief, depth, &lower, 1.0, 0.0, nodes, &mut ws,
+            )
+            .expect("budgeted expands");
+            prop_assert!(pass.completed);
+            prop_assert_eq!(pass.nodes_spent, nodes);
+            let budgeted = ws.decision();
+            prop_assert_eq!(budgeted.action, plain.action);
+            prop_assert_eq!(budgeted.value.to_bits(), plain.value.to_bits());
+            prop_assert_eq!(budgeted.nodes_expanded, nodes);
+            let bits =
+                |d: &tree::Decision| d.q_values.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(budgeted), bits(plain));
+            let short = tree::expand_budgeted(
+                &pomdp, &belief, depth, &lower, 1.0, 0.0, nodes - 1, &mut ws,
+            )
+            .expect("budgeted expands");
+            prop_assert!(!short.completed);
+        }
+    }
+
+    #[test]
+    fn unbounded_anytime_matches_the_plain_expansion(
+        spec in arb_pomdp(),
+        max_depth in 1usize..=2,
+    ) {
+        let pomdp = build(&spec);
+        let lower = random_lower(&pomdp, spec.seed);
+        let mut ws = PlanWorkspace::new();
+        for belief in probe_beliefs(&pomdp, spec.seed) {
+            let plain = tree::expand_with_cutoff(&pomdp, &belief, max_depth, &lower, 1.0, 0.0)
+                .expect("plain expands");
+            let any = anytime_expand_with_workspace(
+                &pomdp, &belief, &lower, max_depth, usize::MAX, 1.0, 0.0, &mut ws,
+            )
+            .expect("anytime expands");
+            prop_assert_eq!(any.completed_depth, max_depth);
+            prop_assert!(!any.budget_exhausted);
+            prop_assert_eq!(any.action, plain.action);
+            prop_assert_eq!(any.value.to_bits(), plain.value.to_bits());
+            prop_assert_eq!(any.q_values, plain.q_values);
         }
     }
 
@@ -219,7 +263,7 @@ fn workspace_reuse_matches_fresh_workspaces_across_models() {
     // One workspace reused across *different* models and depths must
     // give the same decisions as a fresh workspace per call (no state
     // leaks through the arena, frames, or cache).
-    let mut ws = bpr_pomdp::PlanWorkspace::new();
+    let mut ws = PlanWorkspace::new();
     for seed in 0..8u64 {
         let spec = RandomPomdp {
             n_states: 3 + (seed as usize % 3),

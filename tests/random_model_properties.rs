@@ -150,12 +150,12 @@ proptest! {
         for s in 0..n {
             let b = Belief::point(n, StateId::new(s));
             let v = ra.value(&b);
-            let lp = tree::expand(pomdp, &b, 1, &ra, 1.0).expect("expand").value;
+            let lp = tree::expand_with_cutoff(pomdp, &b, 1, &ra, 1.0, 0.0).expect("expand").value;
             prop_assert!(v <= lp + 1e-7, "V_B > L_p V_B at vertex {s}");
         }
         let b = Belief::uniform(n);
         let v = ra.value(&b);
-        let lp = tree::expand(pomdp, &b, 1, &ra, 1.0).expect("expand").value;
+        let lp = tree::expand_with_cutoff(pomdp, &b, 1, &ra, 1.0, 0.0).expect("expand").value;
         prop_assert!(v <= lp + 1e-7);
     }
 
