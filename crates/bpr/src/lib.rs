@@ -131,7 +131,7 @@ mod tests {
         assert!(out.recovered && out.terminated);
         assert_eq!(crate::emn::two_server::FAULT_A, two_server::FAULT_A);
         assert!(WorkPool::new(2).unwrap().threads() == 2);
-        let report: LintReport = lint_pomdp(model.base(), &model.lint_context());
+        let report: &LintReport = model.gate_report();
         assert!(!report.has_errors(), "{}", report.render());
     }
 

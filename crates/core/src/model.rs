@@ -3,6 +3,7 @@
 use crate::{conditions, Error};
 use bpr_mdp::{ActionId, MdpBuilder, StateId};
 use bpr_pomdp::{Belief, ObservationId, Pomdp, PomdpBuilder};
+use std::sync::{Arc, OnceLock};
 
 /// Whether the monitored system can notify the controller that recovery
 /// has completed (paper §3.1).
@@ -28,16 +29,35 @@ pub enum Notification {
 /// * The idle cost `rates` are non-positive, zero on `S_φ`, and match
 ///   the state count.
 ///
+/// The model is immutable: its fields are private and no method takes
+/// `&mut self`. Clones therefore share the POMDP behind an [`Arc`]
+/// (a clone copies the per-state rates and the id lists, never the
+/// transition and observation matrices) and share one memoized
+/// [`RecoveryModel::gate_report`].
+///
 /// # Examples
 ///
 /// Building the paper's Figure 1(a) model is shown in the crate docs of
 /// `bpr-emn` (`two_server()`), which returns a ready `RecoveryModel`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RecoveryModel {
-    base: Pomdp,
+    base: Arc<Pomdp>,
     null_states: Vec<StateId>,
     rates: Vec<f64>,
     observe_actions: Vec<ActionId>,
+    /// Memo of [`RecoveryModel::gate_report`], shared by all clones.
+    gate: Arc<OnceLock<bpr_lint::LintReport>>,
+}
+
+/// Equality of the model itself; whether the gate report has been
+/// computed yet is not part of it.
+impl PartialEq for RecoveryModel {
+    fn eq(&self, other: &RecoveryModel) -> bool {
+        self.base == other.base
+            && self.null_states == other.null_states
+            && self.rates == other.rates
+            && self.observe_actions == other.observe_actions
+    }
 }
 
 impl RecoveryModel {
@@ -96,10 +116,11 @@ impl RecoveryModel {
             }
         }
         Ok(RecoveryModel {
-            base,
+            base: Arc::new(base),
             null_states,
             rates,
             observe_actions,
+            gate: Arc::default(),
         })
     }
 
@@ -177,6 +198,19 @@ impl RecoveryModel {
     /// raw stage, no termination machinery.
     pub fn lint_context(&self) -> bpr_lint::LintContext {
         bpr_lint::LintContext::raw(self.null_states.clone()).named("recovery-model (raw)")
+    }
+
+    /// The lint gate's report: the fast profile of the static analyzer
+    /// over the base POMDP, `lint_pomdp(self.base(), &self.lint_context())`.
+    /// Simulated worlds and the serve daemon reject a model with an
+    /// error finding here and surface its warnings.
+    ///
+    /// Computed on first use and memoized; clones made before or after
+    /// share the memo, so the analyzer runs at most once per model. The
+    /// memo cannot go stale because the model is immutable.
+    pub fn gate_report(&self) -> &bpr_lint::LintReport {
+        self.gate
+            .get_or_init(|| bpr_lint::lint_pomdp(&self.base, &self.lint_context()))
     }
 
     /// Runs the full static analyzer over the base POMDP.
@@ -320,7 +354,7 @@ impl RecoveryModel {
             pb.observation(s, a_t, o_t, 1.0);
         }
         Ok(TerminatedModel {
-            pomdp: pb.build().map_err(Error::Pomdp)?,
+            pomdp: Arc::new(pb.build().map_err(Error::Pomdp)?),
             terminate_state: StateId::new(s_t),
             terminate_action: ActionId::new(a_t),
             terminated_observation: ObservationId::new(o_t),
@@ -333,9 +367,13 @@ impl RecoveryModel {
 /// A recovery model transformed for systems without recovery
 /// notification: the base POMDP extended with `s_T`, `a_T`, and the
 /// "terminated" observation (paper Fig. 2(b)).
+///
+/// Immutable like [`RecoveryModel`]: clones share the POMDP behind an
+/// [`Arc`], so every controller cloned from a prototype plans on the
+/// same matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TerminatedModel {
-    pomdp: Pomdp,
+    pomdp: Arc<Pomdp>,
     terminate_state: StateId,
     terminate_action: ActionId,
     terminated_observation: ObservationId,
@@ -488,7 +526,7 @@ impl TerminatedModel {
             })
             .collect();
         let quotient = TerminatedModel {
-            pomdp: lumping.pomdp,
+            pomdp: Arc::new(lumping.pomdp),
             terminate_state: cert.class_of(self.terminate_state),
             terminate_action: self.terminate_action,
             terminated_observation: self.terminated_observation,
@@ -702,6 +740,29 @@ pub(crate) mod tests {
             .iter()
             .any(|d| d.code == LintCode::DivergentRandomChain));
         assert_eq!(t.lint_context().model_name, transformed.model());
+    }
+
+    #[test]
+    fn clones_share_the_pomdp() {
+        let model = two_server_model();
+        assert!(std::ptr::eq(model.base(), model.clone().base()));
+        let t = model.without_notification(4.0).unwrap();
+        assert!(std::ptr::eq(t.pomdp(), t.clone().pomdp()));
+        let (quotient, _) = t.lump().unwrap();
+        assert!(std::ptr::eq(quotient.pomdp(), quotient.clone().pomdp()));
+    }
+
+    #[test]
+    fn clones_share_one_gate_report() {
+        let model = two_server_model();
+        let early = model.clone();
+        let report = model.gate_report();
+        assert!(std::ptr::eq(report, early.gate_report()));
+        assert!(std::ptr::eq(report, model.clone().gate_report()));
+        assert_eq!(
+            *report,
+            bpr_lint::lint_pomdp(model.base(), &model.lint_context())
+        );
     }
 
     #[test]

@@ -279,6 +279,11 @@ impl<C: RecoveryController> ResilientController<C> {
         &self.inner
     }
 
+    /// The recovery model the heuristic levels and belief tracking read.
+    pub fn model(&self) -> &RecoveryModel {
+        &self.model
+    }
+
     /// The anytime rung, when configured.
     pub fn anytime(&self) -> Option<&AnytimeController> {
         self.anytime.as_ref()

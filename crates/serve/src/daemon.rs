@@ -24,7 +24,7 @@ use crate::checkpoint::{
 use crate::event::EventSource;
 use crate::incident::{Incident, IncidentRecord, IncidentStatus, Prototypes, RungKind};
 use crate::report::{LatencyHistogram, ServeReport, ShedCounts};
-use bpr_core::lint::{lint_pomdp, Diagnostic, LintCode};
+use bpr_core::lint::{Diagnostic, LintCode};
 use bpr_core::snapshot::{
     fnv1a64, retry_with_backoff, CheckpointPolicy, RetryPolicy, SnapshotError,
 };
@@ -391,9 +391,11 @@ impl<'m> Daemon<'m> {
     ) -> Result<Daemon<'m>, Error> {
         config.validate()?;
         config.plan.validate(model)?;
-        let report = lint_pomdp(model.base(), &model.lint_context());
+        let report = model.gate_report();
         if report.has_errors() {
-            return Err(Error::Lint { report });
+            return Err(Error::Lint {
+                report: report.clone(),
+            });
         }
         let (expected, lint_warnings): (Vec<Diagnostic>, Vec<Diagnostic>) = report
             .diagnostics()

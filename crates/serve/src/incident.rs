@@ -149,6 +149,14 @@ pub struct IncidentRecord {
 /// admission — incident startup must not pay planner construction
 /// (bound bootstrap sweeps) per event.
 ///
+/// Admission and escalation clone a prototype, and the clone shares
+/// the prototype's POMDP (the models hold it behind an `Arc`), so the
+/// per-admission cost is a detection-belief update plus a copy of the
+/// rung's leaf bound and planning workspace — never O(model), and
+/// never a lint: the degraded world reads the model's memoized
+/// [`RecoveryModel::gate_report`], which cannot go stale because a
+/// [`RecoveryModel`] is immutable.
+///
 /// Construction is the dominant daemon-startup cost on large models
 /// (minutes at 10³ states), so a harness that runs *several* daemons
 /// over the same model — reference run, shard sweep, kill/resume
@@ -438,6 +446,37 @@ mod tests {
         }
         assert!(RungKind::parse("x").is_err());
         assert!(IncidentStatus::parse("x").is_err());
+    }
+
+    #[test]
+    fn rungs_share_the_prototype_pomdp() {
+        use bpr_pomdp::Pomdp;
+        use std::ptr::eq;
+        let model = bpr_emn::two_server::default_model().unwrap();
+        let protos = Prototypes::build(&model, &ServeConfig::default()).unwrap();
+        let bounded = |c: &LumpedBounded| -> *const Pomdp { c.inner().model().pomdp() };
+        let anytime = |c: &AnytimeController| -> *const Pomdp { c.model().pomdp() };
+        match Rung::from_proto(&protos, RungKind::Bounded) {
+            Rung::Bounded(c) => assert!(eq(bounded(&c), bounded(&protos.bounded))),
+            _ => unreachable!(),
+        }
+        match Rung::from_proto(&protos, RungKind::Anytime) {
+            Rung::Anytime(c) => assert!(eq(anytime(&c), anytime(&protos.anytime))),
+            _ => unreachable!(),
+        }
+        match Rung::from_proto(&protos, RungKind::Resilient) {
+            Rung::Resilient(c) => {
+                let p = &protos.resilient;
+                assert!(eq(c.model().base(), p.model().base()));
+                assert!(eq(c.model().base(), model.base()));
+                assert!(eq(bounded(c.inner()), bounded(p.inner())));
+                assert!(eq(
+                    anytime(c.anytime().unwrap()),
+                    anytime(p.anytime().unwrap())
+                ));
+            }
+            _ => unreachable!(),
+        }
     }
 
     #[test]

@@ -261,8 +261,8 @@ impl<'a> DegradedWorld<'a> {
         &self.plan
     }
 
-    /// The non-fatal lint findings of the underlying model, collected
-    /// by the inner [`World`]'s construction-time gate.
+    /// The non-fatal lint findings of the underlying model, read from
+    /// its gate report by the inner [`World`].
     pub fn lint_warnings(&self) -> &[bpr_core::lint::Diagnostic] {
         self.world.lint_warnings()
     }

@@ -139,3 +139,32 @@ fn a_campaign_runs_on_a_generated_scenario() {
         assert!(outcome.recovered && outcome.terminated);
     }
 }
+
+/// The lint gate runs once per model: `gate_report` memoizes exactly
+/// the report a fresh analyzer run produces, clones made before first
+/// use share it, worlds read their warnings from it, and the memo is
+/// not part of model equality (clones share the memo, so the unlinted
+/// side is a second build of the same scenario).
+#[test]
+fn the_gate_report_is_memoized_per_model() {
+    let registry = bpr::scenario::builtin();
+    for scenario in registry.iter() {
+        let name = scenario.name();
+        let model = scenario.build().expect("builtin scenario builds");
+        let early = model.clone();
+        let fresh = lint_pomdp(model.base(), &model.lint_context());
+        let report = model.gate_report();
+        assert_eq!(*report, fresh, "{name}: memo differs from a fresh lint");
+        assert_eq!(*early.gate_report(), fresh, "{name}: clone before use");
+        assert!(
+            std::ptr::eq(report, early.gate_report()),
+            "{name}: clones share one memo"
+        );
+        let fault = scenario.fault_population(&model)[0];
+        let world = World::new(&model, fault).expect("lint-clean model");
+        assert_eq!(world.lint_warnings(), fresh.diagnostics(), "{name}");
+        let unlinted = scenario.build().expect("builtin scenario builds");
+        assert!(model == unlinted, "{name}: linted == unlinted");
+        assert!(unlinted == model, "{name}: unlinted == linted");
+    }
+}
