@@ -50,6 +50,9 @@ echo "==> certify (certified-bound gate: kernel bounds bracketed by the plan ora
 cargo run -p bpr-bench --bin certify --release -- \
   --quiet --out CERTIFY.json
 
+echo "==> certified bounds unchanged (the regenerated CERTIFY.json must equal the committed one)"
+git diff --exit-code -- CERTIFY.json
+
 echo "==> serve chaos-soak smoke (bursty load + fault injection + forced kill/resume, plus a loopback-socket network-chaos soak on web3tier-small; fails on incident loss, divergence, or transport-accounting violations)"
 cargo run -p bpr-bench --bin serve --release -- \
   --ticks 120 --kill-round 25 --net-scenarios web3tier-small --net-ticks 48 \

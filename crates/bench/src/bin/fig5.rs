@@ -5,7 +5,7 @@
 //! Usage:
 //! `cargo run -p bpr-bench --bin fig5 --release -- [--iterations 20] [--seed 7] [--csv fig5.csv]`
 
-use bpr_bench::experiments::fig5;
+use bpr_bench::experiments::{fig5, fig5_csv};
 use bpr_bench::flag;
 
 fn main() {
@@ -54,22 +54,7 @@ fn main() {
         );
     }
     if !csv_path.is_empty() {
-        let mut csv = String::from(
-            "iteration,random_cost_bound,random_vectors,average_cost_bound,average_vectors\n",
-        );
-        for i in 0..iterations {
-            let r = random.get(i);
-            let a = average.get(i);
-            csv.push_str(&format!(
-                "{},{},{},{},{}\n",
-                i + 1,
-                r.map_or(f64::NAN, |x| -x.bound_at_uniform),
-                r.map_or(0, |x| x.n_vectors),
-                a.map_or(f64::NAN, |x| -x.bound_at_uniform),
-                a.map_or(0, |x| x.n_vectors),
-            ));
-        }
-        if let Err(e) = std::fs::write(&csv_path, csv) {
+        if let Err(e) = std::fs::write(&csv_path, fig5_csv(&series)) {
             eprintln!("failed to write {csv_path}: {e}");
             std::process::exit(1);
         }

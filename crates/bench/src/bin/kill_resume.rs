@@ -18,9 +18,7 @@
 
 use bpr_bench::experiments::bootstrapped_bounded_d1_for;
 use bpr_bench::{flag, scenario_flag, string_flag};
-use bpr_core::bootstrap::{
-    bootstrap_par, bootstrap_par_durable, BootstrapConfig, BootstrapVariant,
-};
+use bpr_core::bootstrap::{bootstrap_par, BootstrapConfig, BootstrapVariant};
 use bpr_core::snapshot::CheckpointPolicy;
 use bpr_core::ActionId;
 use bpr_mdp::chain::SolveOpts;
@@ -206,8 +204,17 @@ fn main() {
     };
     let pool = WorkPool::new(widths[widths.len() - 1]).expect("nonzero width");
     let mut straight = ra_bound(transformed.pomdp(), &SolveOpts::default()).expect("RA-Bound");
-    let straight_report = bootstrap_par(&transformed, &mut straight, &config, batch, seed, &pool)
-        .expect("bootstrap runs");
+    let straight_report = bootstrap_par(
+        &transformed,
+        &mut straight,
+        &config,
+        batch,
+        seed,
+        &pool,
+        None,
+    )
+    .expect("bootstrap runs")
+    .report;
     let kill_iters = (bootstrap_iters / 2).max(1);
     let policy = CheckpointPolicy::new(&boot_snapshot, 1);
     let mut durable = ra_bound(transformed.pomdp(), &SolveOpts::default()).expect("RA-Bound");
@@ -215,25 +222,25 @@ fn main() {
         iterations: kill_iters,
         ..config.clone()
     };
-    bootstrap_par_durable(
+    bootstrap_par(
         &transformed,
         &mut durable,
         &short_config,
         batch,
         seed,
         &pool,
-        &policy,
+        Some(&policy),
     )
     .expect("killed bootstrap runs");
     let mut resumed_bound = ra_bound(transformed.pomdp(), &SolveOpts::default()).expect("RA-Bound");
-    let durable_report = bootstrap_par_durable(
+    let durable_report = bootstrap_par(
         &transformed,
         &mut resumed_bound,
         &config,
         batch,
         seed,
         &pool,
-        &policy,
+        Some(&policy),
     )
     .expect("resumed bootstrap runs");
     let bootstrap_ok = durable_report.resumed_from.is_some()

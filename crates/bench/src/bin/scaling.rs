@@ -174,8 +174,9 @@ fn main() {
         let mut bound =
             ra_bound(transformed.pomdp(), &SolveOpts::default()).expect("RA-Bound exists");
         let start = Instant::now();
-        let report = bootstrap_par(&transformed, &mut bound, &config, batch, seed, &pool)
-            .expect("bootstrap runs");
+        let report = bootstrap_par(&transformed, &mut bound, &config, batch, seed, &pool, None)
+            .expect("bootstrap runs")
+            .report;
         let wall = start.elapsed().as_secs_f64();
         let fingerprint = (report.total_backups, bound.to_tsv());
         match &boot_reference {

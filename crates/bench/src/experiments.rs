@@ -81,6 +81,33 @@ pub fn fig5(iterations: usize, seed: u64) -> Result<Vec<Fig5Series>, Error> {
     Ok(out)
 }
 
+/// Renders Figure 5 series as CSV (the committed `fig5.csv`): one row
+/// per iteration, two columns per series in order — the cost bound
+/// (`-bound_at_uniform`) and the vector count. A series shorter than
+/// the longest renders `NaN` and `0` past its end.
+pub fn fig5_csv(series: &[Fig5Series]) -> String {
+    let mut csv = String::from("iteration");
+    for s in series {
+        let name = format!("{:?}", s.variant).to_lowercase();
+        csv.push_str(&format!(",{name}_cost_bound,{name}_vectors"));
+    }
+    csv.push('\n');
+    let rows = series.iter().map(|s| s.records.len()).max().unwrap_or(0);
+    for i in 0..rows {
+        csv.push_str(&(i + 1).to_string());
+        for s in series {
+            let r = s.records.get(i);
+            csv.push_str(&format!(
+                ",{},{}",
+                r.map_or(f64::NAN, |x| -x.bound_at_uniform),
+                r.map_or(0, |x| x.n_vectors)
+            ));
+        }
+        csv.push('\n');
+    }
+    csv
+}
+
 /// Configuration of the Table 1 fault-injection comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Config {

@@ -79,8 +79,8 @@ pub mod prelude {
     };
     pub use bpr_core::blueprint::{assemble, ModelBlueprint};
     pub use bpr_core::bootstrap::{
-        bootstrap, bootstrap_par, bootstrap_par_durable, bootstrap_updates, BootstrapConfig,
-        BootstrapReport, BootstrapVariant, DurableBootstrapReport,
+        bootstrap, bootstrap_par, bootstrap_updates, BootstrapConfig, BootstrapReport,
+        BootstrapVariant, DurableBootstrapReport,
     };
     pub use bpr_core::scenario::{ModelStage, Scenario, ScenarioRegistry};
     pub use bpr_core::snapshot::{CheckpointPolicy, SnapshotError};

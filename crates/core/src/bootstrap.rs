@@ -1,16 +1,26 @@
 //! The bootstrapping phase of the recovery controller (paper §4.1):
 //! off-line iterative improvement of the lower bound by simulating
 //! monitor outputs and backing up at the visited belief states.
+//!
+//! One engine serves every entry point. `episode_start` draws an
+//! episode's ground-truth fault and initial belief, and `walk_episode`
+//! runs the plan → terminate? → sample → Bayes-update loop around a
+//! caller-supplied step. [`bootstrap`] steps by backing up into the
+//! live bound and planning on it; [`bootstrap_par`]'s rounds step by
+//! recording the belief and planning on a frozen copy, then merge the
+//! recorded backups in episode order; [`bootstrap_updates`] takes one
+//! backup at each episode start.
 
-use crate::snapshot::{fnv1a64, BootstrapCheckpoint, CheckpointPolicy, SnapshotError};
+use crate::snapshot::{fnv1a64, read_snapshot, write_snapshot, CheckpointPolicy, SnapshotError};
 use crate::{Error, TerminatedModel};
-use bpr_mdp::ActionId;
+use bpr_mdp::{ActionId, StateId};
 use bpr_par::WorkPool;
 use bpr_pomdp::backup::incremental_backup;
 use bpr_pomdp::bounds::{ValueBound, VectorSetBound};
-use bpr_pomdp::{tree, Belief};
+use bpr_pomdp::{tree, Belief, Pomdp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::Path;
 
 /// How bootstrap episodes choose their initial belief (paper §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,19 +74,9 @@ impl Default for BootstrapConfig {
 }
 
 impl BootstrapConfig {
-    /// Starts a validated builder pre-loaded with the defaults.
-    pub fn builder() -> BootstrapConfigBuilder {
-        BootstrapConfigBuilder {
-            config: BootstrapConfig::default(),
-        }
-    }
-
     /// Checks the numeric invariants every bootstrap entry point needs.
     ///
-    /// Deliberately more lenient than [`BootstrapConfigBuilder::build`]:
-    /// zero `iterations` (a no-op run) and zero `max_steps` stay legal
-    /// here so hand-built configs keep working, while the builder
-    /// rejects them as almost-certainly-unintended.
+    /// Zero `iterations` (a no-op run) and zero `max_steps` are legal.
     ///
     /// # Errors
     ///
@@ -111,85 +111,6 @@ impl BootstrapConfig {
     }
 }
 
-/// Validated builder for [`BootstrapConfig`]: [`BootstrapConfigBuilder::build`]
-/// returns `Err` on nonsense instead of letting a zero-iteration or
-/// NaN-threshold config silently produce an empty or diverging run.
-#[derive(Debug, Clone)]
-pub struct BootstrapConfigBuilder {
-    config: BootstrapConfig,
-}
-
-impl BootstrapConfigBuilder {
-    /// Sets the initial-belief scheme.
-    pub fn variant(mut self, variant: BootstrapVariant) -> BootstrapConfigBuilder {
-        self.config.variant = variant;
-        self
-    }
-
-    /// Sets the number of simulated recovery episodes.
-    pub fn iterations(mut self, iterations: usize) -> BootstrapConfigBuilder {
-        self.config.iterations = iterations;
-        self
-    }
-
-    /// Sets the tree depth used for in-episode action selection.
-    pub fn depth(mut self, depth: usize) -> BootstrapConfigBuilder {
-        self.config.depth = depth;
-        self
-    }
-
-    /// Sets the per-episode step cap.
-    pub fn max_steps(mut self, max_steps: usize) -> BootstrapConfigBuilder {
-        self.config.max_steps = max_steps;
-        self
-    }
-
-    /// Sets the discount factor.
-    pub fn beta(mut self, beta: f64) -> BootstrapConfigBuilder {
-        self.config.beta = beta;
-        self
-    }
-
-    /// Caps the stored bound vectors (least-used eviction).
-    pub fn vector_cap(mut self, cap: Option<usize>) -> BootstrapConfigBuilder {
-        self.config.vector_cap = cap;
-        self
-    }
-
-    /// Sets the action conditioning [`BootstrapVariant::Random`] starts.
-    pub fn conditioning_action(mut self, action: ActionId) -> BootstrapConfigBuilder {
-        self.config.conditioning_action = action;
-        self
-    }
-
-    /// Sets the observation-branch pruning threshold.
-    pub fn gamma_cutoff(mut self, cutoff: f64) -> BootstrapConfigBuilder {
-        self.config.gamma_cutoff = cutoff;
-        self
-    }
-
-    /// Validates and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`BootstrapConfig::validate`] rejects, plus zero
-    /// `iterations` and zero `max_steps`.
-    pub fn build(self) -> Result<BootstrapConfig, Error> {
-        if self.config.iterations == 0 {
-            return Err(Error::InvalidInput {
-                detail: "bootstrap iterations must be at least 1".into(),
-            });
-        }
-        if self.config.max_steps == 0 {
-            return Err(Error::InvalidInput {
-                detail: "bootstrap max_steps must be at least 1".into(),
-            });
-        }
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 /// Per-iteration progress of the bound (the series plotted in the
 /// paper's Figure 5).
 #[derive(Debug, Clone, PartialEq)]
@@ -218,6 +139,15 @@ impl BootstrapReport {
     pub fn final_bound_at_uniform(&self) -> Option<f64> {
         self.records.last().map(|r| r.bound_at_uniform)
     }
+
+    /// Records where `bound` stands after `iteration`.
+    fn record(&mut self, iteration: usize, bound: &VectorSetBound, uniform_eval: &Belief) {
+        self.records.push(IterationRecord {
+            iteration,
+            bound_at_uniform: bound.value(uniform_eval),
+            n_vectors: bound.len(),
+        });
+    }
 }
 
 /// Runs the bootstrap procedure, improving `bound` in place.
@@ -240,77 +170,34 @@ pub fn bootstrap<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<BootstrapReport, Error> {
     check_against_model(config, model)?;
-    let pomdp = model.pomdp();
     let faults = model.fault_states();
     let uniform_eval = uniform_eval_belief(model)?;
 
     let mut report = BootstrapReport::default();
     for iteration in 1..=config.iterations {
-        // Ground truth for monitor simulation.
-        let mut world = faults[rng.gen_range(0..faults.len())];
-        let fault_belief = Belief::uniform_over(pomdp.n_states(), &faults);
-        let mut belief = match config.variant {
-            BootstrapVariant::Average => fault_belief,
-            BootstrapVariant::Random => {
-                let a = config.conditioning_action;
-                // Monitors observe the (unchanged) faulty state.
-                let o = pomdp.sample_observation(rng, world, a);
-                match fault_belief.update(pomdp, a, o) {
-                    Ok((b, _)) => b,
-                    // An observation inconsistent with the prior support
-                    // cannot happen here, but fall back defensively.
-                    Err(_) => Belief::uniform_over(pomdp.n_states(), &faults),
-                }
-            }
-        };
-
-        for _step in 0..config.max_steps {
-            incremental_backup(pomdp, bound, &belief, config.beta).map_err(Error::Pomdp)?;
-            report.total_backups += 1;
-            if let Some(cap) = config.vector_cap {
-                bound.evict_to(cap);
-            }
-            let decision = tree::expand_with_cutoff(
-                pomdp,
-                &belief,
-                config.depth,
-                &*bound,
-                config.beta,
-                config.gamma_cutoff,
-            )
-            .map_err(Error::Pomdp)?;
-            if decision.action == model.terminate_action() {
-                break;
-            }
-            let next = pomdp.sample_transition(rng, world, decision.action);
-            let o = pomdp.sample_observation(rng, next, decision.action);
-            world = next;
-            match belief.update(pomdp, decision.action, o) {
-                Ok((b, _)) => belief = b,
-                // Zero-probability observation under the belief: restart
-                // from the uninformed fault prior rather than crash.
-                Err(_) => belief = Belief::uniform_over(pomdp.n_states(), &faults),
-            }
-        }
-        report.records.push(IterationRecord {
-            iteration,
-            bound_at_uniform: bound.value(&uniform_eval),
-            n_vectors: bound.len(),
-        });
+        // Every backup immediately sharpens the bound this same episode
+        // keeps planning with.
+        walk_episode(model, &faults, config, rng, |belief| {
+            back_up(model.pomdp(), bound, config, belief, &mut report)?;
+            plan(model, config, bound, belief)
+        })?;
+        report.record(iteration, bound, &uniform_eval);
     }
     Ok(report)
 }
 
 /// Runs the bootstrap procedure with the paper's per-update counting:
-/// each iteration performs exactly **one** incremental backup (so the
-/// bound set grows by at most one vector per iteration, the invariant
-/// behind Figure 5(b)), with the belief trajectory simulated across
-/// iterations — controller-chosen actions generate the next beliefs,
-/// and a fresh episode starts whenever the previous one terminates.
+/// each iteration performs exactly **one** incremental backup, at a
+/// fresh episode's initial belief, so the bound set grows by at most
+/// one vector per iteration (the invariant behind Figure 5(b)).
 ///
-/// [`bootstrap`] (one full episode per iteration) is the heavier
-/// variant used to pre-train controllers; this one reproduces the
-/// paper's Figure 5 semantics.
+/// Average therefore backs up at the fixed all-faults-equally-likely
+/// belief every time (repeated backups compound there); Random
+/// conditions the fault prior on a freshly sampled monitor output
+/// (Eq. 4), staying in the high-uncertainty region where the
+/// controller will actually start. [`bootstrap`] (one full episode per
+/// iteration) is the heavier variant used to pre-train controllers;
+/// this one reproduces the paper's Figure 5 semantics.
 ///
 /// # Errors
 ///
@@ -322,47 +209,36 @@ pub fn bootstrap_updates<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<BootstrapReport, Error> {
     check_against_model(config, model)?;
-    let pomdp = model.pomdp();
     let faults = model.fault_states();
     let uniform_eval = uniform_eval_belief(model)?;
 
-    // Each iteration invokes the controller once and performs one
-    // incremental update there. Average always re-invokes at the fixed
-    // all-faults-equally-likely belief (repeated backups compound
-    // there); Random re-samples a fault and a monitor output and
-    // conditions the fault prior on it (Eq. 4), staying in the
-    // high-uncertainty region where the controller will actually start.
-    let fault_belief = Belief::uniform_over(pomdp.n_states(), &faults);
     let mut report = BootstrapReport::default();
     for iteration in 1..=config.iterations {
-        let belief = match config.variant {
-            BootstrapVariant::Average => fault_belief.clone(),
-            BootstrapVariant::Random => {
-                let world = faults[rng.gen_range(0..faults.len())];
-                let a = config.conditioning_action;
-                let o = pomdp.sample_observation(rng, world, a);
-                fault_belief
-                    .update(pomdp, a, o)
-                    .map(|(b, _)| b)
-                    .unwrap_or_else(|_| fault_belief.clone())
-            }
-        };
-        incremental_backup(pomdp, bound, &belief, config.beta).map_err(Error::Pomdp)?;
-        report.total_backups += 1;
-        if let Some(cap) = config.vector_cap {
-            bound.evict_to(cap);
-        }
-        report.records.push(IterationRecord {
-            iteration,
-            bound_at_uniform: bound.value(&uniform_eval),
-            n_vectors: bound.len(),
-        });
+        let (_, belief) = episode_start(model.pomdp(), &faults, config, rng);
+        back_up(model.pomdp(), bound, config, &belief, &mut report)?;
+        report.record(iteration, bound, &uniform_eval);
     }
     Ok(report)
 }
 
+/// The result of a [`bootstrap_par`] run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DurableBootstrapReport {
+    /// The underlying bootstrap report — bit-identical to what an
+    /// uninterrupted, unchecked run would have produced.
+    pub report: BootstrapReport,
+    /// `Some(episode)` when the run resumed from a snapshot covering
+    /// episodes `0..episode`.
+    pub resumed_from: Option<usize>,
+    /// The typed reason the snapshot was ignored, when it was (the run
+    /// then started fresh from the caller's seed bound).
+    pub snapshot_error: Option<SnapshotError>,
+    /// Snapshots written during this run.
+    pub checkpoints_written: usize,
+}
+
 /// Deterministic parallel bootstrap: the batch-synchronous (PBVI-style)
-/// variant behind the scaling benchmark.
+/// variant behind the scaling benchmark, optionally checkpointed.
 ///
 /// `config.iterations` episodes run in rounds of `batch`. Within a
 /// round every episode simulates its belief trajectory **against a
@@ -382,12 +258,30 @@ pub fn bootstrap_updates<R: Rng + ?Sized>(
 /// Monotone improvement of the bound is preserved (backups only add
 /// dominating hyperplanes).
 ///
+/// **Checkpointing.** With `checkpoint: None` the run never touches
+/// the filesystem. With a [`CheckpointPolicy`], the bound (usage
+/// counters included), records and progress cursor are snapshotted to
+/// `policy.path` every `policy.every` rounds and at completion, and a
+/// run finding a compatible snapshot resumes from its round boundary.
+/// Because episodes are a pure function of `(master_seed, index)` and
+/// backups merge in episode order, a resumed run is **bit-identical**
+/// to an uninterrupted one. A missing snapshot is the normal first-run
+/// state. A snapshot that is truncated, bit-flipped,
+/// version-mismatched, or written by a different session
+/// (seed/batch/config/model mismatch; `iterations` may grow) is
+/// *ignored*: the run starts fresh from the caller's seed bound and
+/// reports the typed [`SnapshotError`] in
+/// [`DurableBootstrapReport::snapshot_error`]. Corruption never panics
+/// and never poisons the bound.
+///
 /// # Errors
 ///
-/// * [`Error::InvalidInput`] for a zero `batch`, plus everything
-///   [`bootstrap`] rejects.
+/// * [`Error::InvalidInput`] for a zero `batch` or an invalid policy,
+///   plus everything [`bootstrap`] rejects.
 /// * Propagates backup/expansion failures (lowest episode index first,
 ///   whatever the pool width).
+/// * [`Error::Snapshot`] when a checkpoint cannot be **written**
+///   (durability was requested and cannot be provided).
 pub fn bootstrap_par(
     model: &TerminatedModel,
     bound: &mut VectorSetBound,
@@ -395,150 +289,7 @@ pub fn bootstrap_par(
     batch: usize,
     master_seed: u64,
     pool: &WorkPool,
-) -> Result<BootstrapReport, Error> {
-    check_against_model(config, model)?;
-    if batch == 0 {
-        return Err(Error::InvalidInput {
-            detail: "bootstrap batch size must be at least 1".into(),
-        });
-    }
-    let uniform_eval = uniform_eval_belief(model)?;
-
-    let mut report = BootstrapReport::default();
-    let mut next_episode = 0usize;
-    while next_episode < config.iterations {
-        let round = batch.min(config.iterations - next_episode);
-        bootstrap_round(
-            model,
-            bound,
-            config,
-            master_seed,
-            pool,
-            next_episode,
-            round,
-            &uniform_eval,
-            &mut report,
-        )?;
-        next_episode += round;
-    }
-    Ok(report)
-}
-
-/// One batch-synchronous round of [`bootstrap_par`]: simulate `round`
-/// episodes starting at `next_episode` against a frozen bound, then
-/// merge their backups sequentially in episode order.
-#[allow(clippy::too_many_arguments)]
-fn bootstrap_round(
-    model: &TerminatedModel,
-    bound: &mut VectorSetBound,
-    config: &BootstrapConfig,
-    master_seed: u64,
-    pool: &WorkPool,
-    next_episode: usize,
-    round: usize,
-    uniform_eval: &Belief,
-    report: &mut BootstrapReport,
-) -> Result<(), Error> {
-    let pomdp = model.pomdp();
-    // Freeze the bound for the round: planning inside the round's
-    // episodes must not observe each other's backups.
-    let frozen = bound.clone();
-    let trajectories: Vec<Result<Vec<Belief>, Error>> = pool.map_indices(round, |offset| {
-        let episode = next_episode + offset;
-        let mut rng = StdRng::seed_from_stream(master_seed, episode as u64);
-        simulate_trajectory(model, &frozen, config, &mut rng)
-    });
-    // Sequential merge, episode order: this is what makes the run
-    // independent of how the trajectories were scheduled.
-    for (offset, trajectory) in trajectories.into_iter().enumerate() {
-        let trajectory = trajectory?;
-        for belief in &trajectory {
-            incremental_backup(pomdp, bound, belief, config.beta).map_err(Error::Pomdp)?;
-            report.total_backups += 1;
-            if let Some(cap) = config.vector_cap {
-                bound.evict_to(cap);
-            }
-        }
-        report.records.push(IterationRecord {
-            iteration: next_episode + offset + 1,
-            bound_at_uniform: bound.value(uniform_eval),
-            n_vectors: bound.len(),
-        });
-    }
-    Ok(())
-}
-
-/// The result of a durable (checkpointed) bootstrap run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DurableBootstrapReport {
-    /// The underlying bootstrap report — bit-identical to what an
-    /// uninterrupted [`bootstrap_par`] run would have produced.
-    pub report: BootstrapReport,
-    /// `Some(episode)` when the run resumed from a snapshot covering
-    /// episodes `0..episode`.
-    pub resumed_from: Option<usize>,
-    /// The typed reason the snapshot was ignored, when it was (the run
-    /// then started fresh from the caller's seed bound).
-    pub snapshot_error: Option<SnapshotError>,
-    /// Snapshots written during this run.
-    pub checkpoints_written: usize,
-}
-
-/// The parameters that must match between the run that wrote a
-/// checkpoint and the run resuming from it. `iterations` is
-/// deliberately excluded: a run killed partway toward a larger target
-/// is exactly what resume is for.
-fn session_fingerprint(
-    model: &TerminatedModel,
-    config: &BootstrapConfig,
-    batch: usize,
-    master_seed: u64,
-) -> u64 {
-    let canon = format!(
-        "seed={master_seed} batch={batch} variant={:?} depth={} max_steps={} beta={:?} \
-         vector_cap={:?} conditioning={} gamma_cutoff={:?} n_states={}",
-        config.variant,
-        config.depth,
-        config.max_steps,
-        config.beta,
-        config.vector_cap,
-        config.conditioning_action.index(),
-        config.gamma_cutoff,
-        model.pomdp().n_states()
-    );
-    fnv1a64(canon.as_bytes())
-}
-
-/// [`bootstrap_par`] with crash durability: the bound, records, and
-/// progress cursor are snapshotted to `policy.path` every
-/// `policy.every` rounds (and at completion), and a run finding a
-/// compatible snapshot resumes from its round boundary.
-///
-/// Because episodes are a pure function of `(master_seed, index)` and
-/// backups merge sequentially in episode order, a resumed run is
-/// **bit-identical** to an uninterrupted one — same records, same
-/// hyperplanes, same usage counters.
-///
-/// A snapshot that is missing is the normal first-run state. A snapshot
-/// that is truncated, bit-flipped, version-mismatched, or written by a
-/// different session (seed/config/model mismatch) is *ignored*: the run
-/// starts fresh from the caller's seed bound and reports the typed
-/// [`SnapshotError`] in [`DurableBootstrapReport::snapshot_error`].
-/// Corruption never panics and never poisons the bound.
-///
-/// # Errors
-///
-/// * Everything [`bootstrap_par`] rejects.
-/// * [`Error::Snapshot`] when a checkpoint cannot be **written**
-///   (durability was requested and cannot be provided).
-pub fn bootstrap_par_durable(
-    model: &TerminatedModel,
-    bound: &mut VectorSetBound,
-    config: &BootstrapConfig,
-    batch: usize,
-    master_seed: u64,
-    pool: &WorkPool,
-    policy: &CheckpointPolicy,
+    checkpoint: Option<&CheckpointPolicy>,
 ) -> Result<DurableBootstrapReport, Error> {
     check_against_model(config, model)?;
     if batch == 0 {
@@ -546,134 +297,172 @@ pub fn bootstrap_par_durable(
             detail: "bootstrap batch size must be at least 1".into(),
         });
     }
-    policy.validate()?;
-    let fingerprint = session_fingerprint(model, config, batch, master_seed);
+    if let Some(policy) = checkpoint {
+        policy.validate()?;
+    }
+    let sink = checkpoint.map(|policy| {
+        (
+            policy,
+            session_fingerprint(model, config, batch, master_seed),
+        )
+    });
+    let faults = model.fault_states();
     let uniform_eval = uniform_eval_belief(model)?;
 
-    let mut report = BootstrapReport::default();
-    let mut resumed_from = None;
-    let mut snapshot_error = None;
+    let mut out = DurableBootstrapReport {
+        report: BootstrapReport::default(),
+        resumed_from: None,
+        snapshot_error: None,
+        checkpoints_written: 0,
+    };
     let mut next_episode = 0usize;
-    match BootstrapCheckpoint::load(&policy.path) {
-        Ok(None) => {}
-        Ok(Some(cp)) => {
-            if cp.fingerprint != fingerprint {
-                snapshot_error = Some(SnapshotError::Incompatible {
-                    detail: "checkpoint was written by a different session \
-                             (seed, batch, config, or model mismatch)"
-                        .into(),
-                });
-            } else if cp.next_episode > config.iterations {
-                snapshot_error = Some(SnapshotError::Incompatible {
-                    detail: format!(
-                        "checkpoint is ahead of the requested run: episode {} > {}",
-                        cp.next_episode, config.iterations
-                    ),
-                });
-            } else {
-                match cp.restore_bound() {
-                    Ok(restored) => {
-                        *bound = restored;
-                        next_episode = cp.next_episode;
-                        report.records = cp.records;
-                        report.total_backups = cp.total_backups;
-                        resumed_from = Some(next_episode);
-                    }
-                    Err(e) => snapshot_error = Some(e),
-                }
+    if let Some((policy, fingerprint)) = sink {
+        match BootstrapCheckpoint::load_compatible(&policy.path, fingerprint, config.iterations) {
+            Ok(None) => {}
+            Ok(Some((restored, cp))) => {
+                *bound = restored;
+                next_episode = cp.next_episode;
+                out.report.records = cp.records;
+                out.report.total_backups = cp.total_backups;
+                out.resumed_from = Some(next_episode);
             }
+            Err(e) => out.snapshot_error = Some(e),
         }
-        Err(e) => snapshot_error = Some(e),
     }
 
-    let mut checkpoints_written = 0usize;
     let mut rounds_since_checkpoint = 0usize;
     while next_episode < config.iterations {
         let round = batch.min(config.iterations - next_episode);
-        bootstrap_round(
-            model,
-            bound,
-            config,
-            master_seed,
-            pool,
-            next_episode,
-            round,
-            &uniform_eval,
-            &mut report,
-        )?;
-        next_episode += round;
-        rounds_since_checkpoint += 1;
-        if rounds_since_checkpoint >= policy.every || next_episode >= config.iterations {
-            BootstrapCheckpoint::capture(
-                fingerprint,
-                next_episode,
-                report.total_backups,
-                &report.records,
-                bound,
-            )
-            .save(&policy.path)
-            .map_err(Error::Snapshot)?;
-            checkpoints_written += 1;
-            rounds_since_checkpoint = 0;
+        // Freeze the bound for the round: planning inside the round's
+        // episodes must not observe each other's backups.
+        let frozen = bound.clone();
+        let trajectories: Vec<Result<Vec<Belief>, Error>> = pool.map_indices(round, |offset| {
+            let episode = next_episode + offset;
+            let mut rng = StdRng::seed_from_stream(master_seed, episode as u64);
+            let mut visited = Vec::new();
+            walk_episode(model, &faults, config, &mut rng, |belief| {
+                visited.push(belief.clone());
+                plan(model, config, &frozen, belief)
+            })?;
+            Ok(visited)
+        });
+        // Sequential merge, episode order: this is what makes the run
+        // independent of how the trajectories were scheduled.
+        for (offset, trajectory) in trajectories.into_iter().enumerate() {
+            for belief in &trajectory? {
+                back_up(model.pomdp(), bound, config, belief, &mut out.report)?;
+            }
+            out.report
+                .record(next_episode + offset + 1, bound, &uniform_eval);
         }
-    }
-    Ok(DurableBootstrapReport {
-        report,
-        resumed_from,
-        snapshot_error,
-        checkpoints_written,
-    })
-}
+        next_episode += round;
 
-/// One bootstrap episode planned against a frozen bound, returning the
-/// beliefs at which [`bootstrap_par`] will back up (in visit order).
-/// A pure function of `(model, frozen, config, rng-stream)` — the
-/// determinism contract [`WorkPool::map_indices`] requires.
-fn simulate_trajectory<R: Rng + ?Sized>(
-    model: &TerminatedModel,
-    frozen: &VectorSetBound,
-    config: &BootstrapConfig,
-    rng: &mut R,
-) -> Result<Vec<Belief>, Error> {
-    let pomdp = model.pomdp();
-    let faults = model.fault_states();
-    let mut world = faults[rng.gen_range(0..faults.len())];
-    let fault_belief = Belief::uniform_over(pomdp.n_states(), &faults);
-    let mut belief = match config.variant {
-        BootstrapVariant::Average => fault_belief,
-        BootstrapVariant::Random => {
-            let a = config.conditioning_action;
-            let o = pomdp.sample_observation(rng, world, a);
-            match fault_belief.update(pomdp, a, o) {
-                Ok((b, _)) => b,
-                Err(_) => Belief::uniform_over(pomdp.n_states(), &faults),
+        if let Some((policy, fingerprint)) = sink {
+            rounds_since_checkpoint += 1;
+            if rounds_since_checkpoint >= policy.every || next_episode >= config.iterations {
+                BootstrapCheckpoint::capture(fingerprint, next_episode, &out.report, bound)
+                    .save(&policy.path)
+                    .map_err(Error::Snapshot)?;
+                out.checkpoints_written += 1;
+                rounds_since_checkpoint = 0;
             }
         }
+    }
+    Ok(out)
+}
+
+/// Draws an episode's ground-truth fault uniformly from `faults`, then
+/// its initial belief: the uniform fault prior (Average), or that prior
+/// conditioned on one monitor output sampled from the fault (Random).
+fn episode_start<R: Rng + ?Sized>(
+    pomdp: &Pomdp,
+    faults: &[StateId],
+    config: &BootstrapConfig,
+    rng: &mut R,
+) -> (StateId, Belief) {
+    let world = faults[rng.gen_range(0..faults.len())];
+    let prior = Belief::uniform_over(pomdp.n_states(), faults);
+    let belief = match config.variant {
+        BootstrapVariant::Average => prior,
+        BootstrapVariant::Random => {
+            let a = config.conditioning_action;
+            // Monitors observe the (unchanged) faulty state. An
+            // observation inconsistent with the prior support cannot
+            // happen here, but fall back to the prior defensively.
+            let o = pomdp.sample_observation(rng, world, a);
+            prior.update(pomdp, a, o).map_or(prior, |(b, _)| b)
+        }
     };
-    let mut visited = Vec::new();
+    (world, belief)
+}
+
+/// Runs one episode from [`episode_start`]. At each belief `step`
+/// returns the controller's action; the episode ends on the terminate
+/// action or after `config.max_steps` steps. Otherwise the ground truth
+/// moves, the monitors report on the state entered, and the belief is
+/// updated (Eq. 4).
+fn walk_episode<R: Rng + ?Sized>(
+    model: &TerminatedModel,
+    faults: &[StateId],
+    config: &BootstrapConfig,
+    rng: &mut R,
+    mut step: impl FnMut(&Belief) -> Result<ActionId, Error>,
+) -> Result<(), Error> {
+    let pomdp = model.pomdp();
+    let (mut world, mut belief) = episode_start(pomdp, faults, config, rng);
     for _step in 0..config.max_steps {
-        visited.push(belief.clone());
-        let decision = tree::expand_with_cutoff(
-            pomdp,
-            &belief,
-            config.depth,
-            frozen,
-            config.beta,
-            config.gamma_cutoff,
-        )
-        .map_err(Error::Pomdp)?;
-        if decision.action == model.terminate_action() {
+        let action = step(&belief)?;
+        if action == model.terminate_action() {
             break;
         }
-        let next = pomdp.sample_transition(rng, world, decision.action);
-        let o = pomdp.sample_observation(rng, next, decision.action);
+        let next = pomdp.sample_transition(rng, world, action);
+        let o = pomdp.sample_observation(rng, next, action);
         world = next;
-        match belief.update(pomdp, decision.action, o) {
-            Ok((b, _)) => belief = b,
-            Err(_) => belief = Belief::uniform_over(pomdp.n_states(), &faults),
-        }
+        belief = match belief.update(pomdp, action, o) {
+            Ok((b, _)) => b,
+            // Zero-probability observation under the belief: restart
+            // from the uninformed fault prior rather than crash.
+            Err(_) => Belief::uniform_over(pomdp.n_states(), faults),
+        };
     }
-    Ok(visited)
+    Ok(())
+}
+
+/// The controller's action at `belief`: a depth-`config.depth` tree
+/// expansion with `bound` at the leaves.
+fn plan(
+    model: &TerminatedModel,
+    config: &BootstrapConfig,
+    bound: &VectorSetBound,
+    belief: &Belief,
+) -> Result<ActionId, Error> {
+    tree::expand_with_cutoff(
+        model.pomdp(),
+        belief,
+        config.depth,
+        bound,
+        config.beta,
+        config.gamma_cutoff,
+    )
+    .map(|decision| decision.action)
+    .map_err(Error::Pomdp)
+}
+
+/// One incremental backup at `belief`, counted in `report`, then
+/// least-used eviction down to the vector cap.
+fn back_up(
+    pomdp: &Pomdp,
+    bound: &mut VectorSetBound,
+    config: &BootstrapConfig,
+    belief: &Belief,
+    report: &mut BootstrapReport,
+) -> Result<(), Error> {
+    incremental_backup(pomdp, bound, belief, config.beta).map_err(Error::Pomdp)?;
+    report.total_backups += 1;
+    if let Some(cap) = config.vector_cap {
+        bound.evict_to(cap);
+    }
+    Ok(())
 }
 
 /// Shared entry validation: config invariants plus the model-dependent
@@ -701,14 +490,243 @@ fn uniform_eval_belief(model: &TerminatedModel) -> Result<Belief, Error> {
     Belief::from_probs(probs).map_err(Error::Pomdp)
 }
 
+/// The parameters that must match between the run that wrote a
+/// checkpoint and the run resuming from it. `iterations` is
+/// deliberately excluded: a run killed partway toward a larger target
+/// is exactly what resume is for.
+fn session_fingerprint(
+    model: &TerminatedModel,
+    config: &BootstrapConfig,
+    batch: usize,
+    master_seed: u64,
+) -> u64 {
+    let canon = format!(
+        "seed={master_seed} batch={batch} variant={:?} depth={} max_steps={} beta={:?} \
+         vector_cap={:?} conditioning={} gamma_cutoff={:?} n_states={}",
+        config.variant,
+        config.depth,
+        config.max_steps,
+        config.beta,
+        config.vector_cap,
+        config.conditioning_action.index(),
+        config.gamma_cutoff,
+        model.pomdp().n_states()
+    );
+    fnv1a64(canon.as_bytes())
+}
+
+/// Container kind tag of bootstrap checkpoints.
+const BOOTSTRAP_KIND: &str = "bootstrap";
+
+/// The persisted state of a checkpointed [`bootstrap_par`] run:
+/// everything needed to continue the round loop bit-identically.
+///
+/// The bound's hyperplanes **and their usage counters** are both
+/// persisted — eviction under a vector cap depends on usage, so
+/// dropping the counters would make a resumed run diverge from the
+/// uninterrupted one. Floats are written with `{:?}`, which
+/// round-trips every finite `f64` bit-for-bit.
+#[derive(Debug, Clone, PartialEq)]
+struct BootstrapCheckpoint {
+    /// [`session_fingerprint`] of the run that wrote it.
+    fingerprint: u64,
+    /// First episode index the resumed run must execute.
+    next_episode: usize,
+    /// Backups performed so far.
+    total_backups: usize,
+    /// Per-iteration records accumulated so far.
+    records: Vec<IterationRecord>,
+    /// State-space dimension of the bound.
+    n_states: usize,
+    /// The bound hyperplanes, in insertion order
+    /// ([`VectorSetBound::to_tsv`] format).
+    bound_tsv: String,
+    /// Per-hyperplane usage counters, parallel to the TSV rows.
+    usage: Vec<u64>,
+}
+
+impl BootstrapCheckpoint {
+    /// Captures the live bootstrap state.
+    fn capture(
+        fingerprint: u64,
+        next_episode: usize,
+        report: &BootstrapReport,
+        bound: &VectorSetBound,
+    ) -> BootstrapCheckpoint {
+        BootstrapCheckpoint {
+            fingerprint,
+            next_episode,
+            total_backups: report.total_backups,
+            records: report.records.clone(),
+            n_states: bound.n_states(),
+            bound_tsv: bound.to_tsv(),
+            usage: bound.usage_counts().to_vec(),
+        }
+    }
+
+    /// Rebuilds the bound this checkpoint captured, usage counters
+    /// included.
+    fn restore_bound(&self) -> Result<VectorSetBound, SnapshotError> {
+        let mut bound = VectorSetBound::from_tsv(self.n_states, &self.bound_tsv).map_err(|e| {
+            SnapshotError::Malformed {
+                detail: format!("bound vectors: {e}"),
+            }
+        })?;
+        bound
+            .set_usage_counts(&self.usage)
+            .map_err(|e| SnapshotError::Malformed {
+                detail: format!("usage counters: {e}"),
+            })?;
+        Ok(bound)
+    }
+
+    /// Serialises the checkpoint payload (container header excluded).
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
+        out.push_str(&format!("next {}\n", self.next_episode));
+        out.push_str(&format!("backups {}\n", self.total_backups));
+        out.push_str(&format!("n_states {}\n", self.n_states));
+        for r in &self.records {
+            out.push_str(&format!(
+                "record {}\t{:?}\t{}\n",
+                r.iteration, r.bound_at_uniform, r.n_vectors
+            ));
+        }
+        let usage: Vec<String> = self.usage.iter().map(u64::to_string).collect();
+        out.push_str(&format!("usage {}\n", usage.join(" ")));
+        out.push_str("bound\n");
+        out.push_str(&self.bound_tsv);
+        out
+    }
+
+    /// Parses a payload produced by [`BootstrapCheckpoint::encode`];
+    /// [`SnapshotError::Malformed`] for any structural deviation.
+    fn decode(payload: &str) -> Result<BootstrapCheckpoint, SnapshotError> {
+        let malformed = |detail: String| SnapshotError::Malformed { detail };
+        let mut fingerprint = None;
+        let mut next_episode = None;
+        let mut total_backups = None;
+        let mut n_states = None;
+        let mut records = Vec::new();
+        let mut usage = None;
+        let mut lines = payload.lines();
+        for line in lines.by_ref() {
+            if line == "bound" {
+                break;
+            }
+            let (key, rest) = line
+                .split_once(' ')
+                .ok_or_else(|| malformed(format!("keyless line {line:?}")))?;
+            match key {
+                "fingerprint" => {
+                    fingerprint = Some(
+                        u64::from_str_radix(rest, 16)
+                            .map_err(|_| malformed(format!("fingerprint {rest:?}")))?,
+                    );
+                }
+                "next" => {
+                    next_episode = Some(
+                        rest.parse()
+                            .map_err(|_| malformed(format!("next {rest:?}")))?,
+                    );
+                }
+                "backups" => {
+                    total_backups = Some(
+                        rest.parse()
+                            .map_err(|_| malformed(format!("backups {rest:?}")))?,
+                    );
+                }
+                "n_states" => {
+                    n_states = Some(
+                        rest.parse()
+                            .map_err(|_| malformed(format!("n_states {rest:?}")))?,
+                    );
+                }
+                "record" => {
+                    let fields: Vec<&str> = rest.split('\t').collect();
+                    if fields.len() != 3 {
+                        return Err(malformed(format!("record {rest:?}")));
+                    }
+                    records.push(IterationRecord {
+                        iteration: fields[0]
+                            .parse()
+                            .map_err(|_| malformed(format!("record iteration {rest:?}")))?,
+                        bound_at_uniform: fields[1]
+                            .parse()
+                            .map_err(|_| malformed(format!("record bound {rest:?}")))?,
+                        n_vectors: fields[2]
+                            .parse()
+                            .map_err(|_| malformed(format!("record vectors {rest:?}")))?,
+                    });
+                }
+                "usage" => {
+                    let counts: Result<Vec<u64>, _> = rest
+                        .split(' ')
+                        .filter(|t| !t.is_empty())
+                        .map(str::parse)
+                        .collect();
+                    usage = Some(counts.map_err(|_| malformed(format!("usage {rest:?}")))?);
+                }
+                _ => return Err(malformed(format!("unknown key {key:?}"))),
+            }
+        }
+        let bound_tsv: String = lines.map(|l| format!("{l}\n")).collect();
+        Ok(BootstrapCheckpoint {
+            fingerprint: fingerprint.ok_or_else(|| malformed("missing fingerprint".into()))?,
+            next_episode: next_episode.ok_or_else(|| malformed("missing next".into()))?,
+            total_backups: total_backups.ok_or_else(|| malformed("missing backups".into()))?,
+            n_states: n_states.ok_or_else(|| malformed("missing n_states".into()))?,
+            records,
+            usage: usage.ok_or_else(|| malformed("missing usage".into()))?,
+            bound_tsv,
+        })
+    }
+
+    /// Atomically writes the checkpoint to `path`.
+    fn save(&self, path: &Path) -> Result<(), SnapshotError> {
+        write_snapshot(path, BOOTSTRAP_KIND, &self.encode())
+    }
+
+    /// Loads the checkpoint at `path` a run with this `fingerprint` and
+    /// `iterations` target may resume from, with its restored bound.
+    /// `Ok(None)` when no snapshot exists yet; a snapshot of another
+    /// session, or one ahead of the target, is
+    /// [`SnapshotError::Incompatible`].
+    fn load_compatible(
+        path: &Path,
+        fingerprint: u64,
+        iterations: usize,
+    ) -> Result<Option<(VectorSetBound, BootstrapCheckpoint)>, SnapshotError> {
+        let Some(payload) = read_snapshot(path, BOOTSTRAP_KIND)? else {
+            return Ok(None);
+        };
+        let cp = BootstrapCheckpoint::decode(&payload)?;
+        if cp.fingerprint != fingerprint {
+            return Err(SnapshotError::Incompatible {
+                detail: "checkpoint was written by a different session \
+                         (seed, batch, config, or model mismatch)"
+                    .into(),
+            });
+        }
+        if cp.next_episode > iterations {
+            return Err(SnapshotError::Incompatible {
+                detail: format!(
+                    "checkpoint is ahead of the requested run: episode {} > {iterations}",
+                    cp.next_episode
+                ),
+            });
+        }
+        Ok(Some((cp.restore_bound()?, cp)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::tests::two_server_model;
     use bpr_mdp::chain::SolveOpts;
     use bpr_pomdp::bounds::ra_bound;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn setup() -> (TerminatedModel, VectorSetBound) {
         let model = two_server_model().without_notification(10.0).unwrap();
@@ -866,48 +884,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_nonsense_and_accepts_sane_configs() {
-        assert!(BootstrapConfig::builder().iterations(0).build().is_err());
-        assert!(BootstrapConfig::builder().max_steps(0).build().is_err());
-        assert!(BootstrapConfig::builder().depth(0).build().is_err());
-        assert!(BootstrapConfig::builder().beta(f64::NAN).build().is_err());
-        assert!(BootstrapConfig::builder().beta(0.0).build().is_err());
-        assert!(BootstrapConfig::builder().beta(1.5).build().is_err());
-        assert!(BootstrapConfig::builder()
-            .gamma_cutoff(-1.0)
-            .build()
-            .is_err());
-        assert!(BootstrapConfig::builder()
-            .vector_cap(Some(0))
-            .build()
-            .is_err());
-        let config = BootstrapConfig::builder()
-            .variant(BootstrapVariant::Random)
-            .iterations(7)
-            .depth(1)
-            .max_steps(20)
-            .beta(0.99)
-            .vector_cap(Some(8))
-            .conditioning_action(ActionId::new(2))
-            .gamma_cutoff(1e-5)
-            .build()
-            .unwrap();
-        assert_eq!(config.iterations, 7);
-        assert_eq!(config.variant, BootstrapVariant::Random);
-        // The runtime check stays lenient on zero iterations (no-op runs
-        // are legal) but still rejects numeric nonsense.
-        assert!(BootstrapConfig {
-            iterations: 0,
-            ..BootstrapConfig::default()
-        }
-        .validate()
-        .is_ok());
-        assert!(BootstrapConfig {
-            beta: f64::NAN,
-            ..BootstrapConfig::default()
-        }
-        .validate()
-        .is_err());
+    fn validate_rejects_nonsense_configs() {
+        let bad = |f: fn(&mut BootstrapConfig)| {
+            let mut config = BootstrapConfig::default();
+            f(&mut config);
+            config.validate().is_err()
+        };
+        assert!(bad(|c| c.depth = 0));
+        assert!(bad(|c| c.beta = f64::NAN));
+        assert!(bad(|c| c.beta = 0.0));
+        assert!(bad(|c| c.beta = 1.5));
+        assert!(bad(|c| c.gamma_cutoff = -1.0));
+        assert!(bad(|c| c.gamma_cutoff = f64::INFINITY));
+        assert!(bad(|c| c.vector_cap = Some(0)));
+        // No-op runs stay legal.
+        assert!(!bad(|c| c.iterations = 0));
+        assert!(!bad(|c| c.max_steps = 0));
+        assert!(BootstrapConfig::default().validate().is_ok());
     }
 
     #[test]
@@ -923,8 +916,8 @@ mod tests {
         let run = |threads: usize| {
             let (model, mut bound) = setup();
             let pool = WorkPool::new(threads).unwrap();
-            let report = bootstrap_par(&model, &mut bound, &config, 4, 77, &pool).unwrap();
-            (report, bound.to_tsv())
+            let report = bootstrap_par(&model, &mut bound, &config, 4, 77, &pool, None).unwrap();
+            (report.report, bound.to_tsv())
         };
         let (serial_report, serial_bound) = run(1);
         let (wide_report, wide_bound) = run(4);
@@ -943,7 +936,9 @@ mod tests {
             conditioning_action: ActionId::new(2),
             ..BootstrapConfig::default()
         };
-        let report = bootstrap_par(&model, &mut bound, &config, 3, 5, &WorkPool::serial()).unwrap();
+        let report = bootstrap_par(&model, &mut bound, &config, 3, 5, &WorkPool::serial(), None)
+            .unwrap()
+            .report;
         let mut prev = f64::NEG_INFINITY;
         for rec in &report.records {
             assert!(
@@ -955,7 +950,9 @@ mod tests {
         }
         assert!(report.final_bound_at_uniform().unwrap() <= 1e-9);
         // Zero batch is rejected.
-        assert!(bootstrap_par(&model, &mut bound, &config, 0, 5, &WorkPool::serial()).is_err());
+        assert!(
+            bootstrap_par(&model, &mut bound, &config, 0, 5, &WorkPool::serial(), None).is_err()
+        );
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -986,17 +983,19 @@ mod tests {
             4,
             77,
             &WorkPool::serial(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         let (model, mut durable_bound) = setup();
-        let durable = bootstrap_par_durable(
+        let durable = bootstrap_par(
             &model,
             &mut durable_bound,
             &config,
             4,
             77,
             &WorkPool::serial(),
-            &CheckpointPolicy::new(&path, 1),
+            Some(&CheckpointPolicy::new(&path, 1)),
         )
         .unwrap();
         assert_eq!(durable.report, plain);
@@ -1020,8 +1019,10 @@ mod tests {
             4,
             77,
             &WorkPool::serial(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         // "Kill" after 8 of the 12 episodes by running a shorter target.
         let killed_at = BootstrapConfig {
             iterations: 8,
@@ -1029,26 +1030,26 @@ mod tests {
         };
         let (model, mut bound) = setup();
         let policy = CheckpointPolicy::new(&path, 1);
-        bootstrap_par_durable(
+        bootstrap_par(
             &model,
             &mut bound,
             &killed_at,
             4,
             77,
             &WorkPool::serial(),
-            &policy,
+            Some(&policy),
         )
         .unwrap();
         // Resume toward the full target from a *fresh* seed bound.
         let (model, mut bound) = setup();
-        let resumed = bootstrap_par_durable(
+        let resumed = bootstrap_par(
             &model,
             &mut bound,
             &config,
             4,
             77,
             &WorkPool::serial(),
-            &policy,
+            Some(&policy),
         )
         .unwrap();
         assert_eq!(resumed.resumed_from, Some(8));
@@ -1066,14 +1067,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let policy = CheckpointPolicy::new(&path, 1);
         let (model, mut bound) = setup();
-        bootstrap_par_durable(
+        bootstrap_par(
             &model,
             &mut bound,
             &config,
             4,
             77,
             &WorkPool::serial(),
-            &policy,
+            Some(&policy),
         )
         .unwrap();
         // Flip one payload bit.
@@ -1082,14 +1083,14 @@ mod tests {
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let (model, mut bound) = setup();
-        let recovered = bootstrap_par_durable(
+        let recovered = bootstrap_par(
             &model,
             &mut bound,
             &config,
             4,
             77,
             &WorkPool::serial(),
-            &policy,
+            Some(&policy),
         )
         .unwrap();
         assert!(matches!(
@@ -1106,8 +1107,10 @@ mod tests {
             4,
             77,
             &WorkPool::serial(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .report;
         assert_eq!(recovered.report, plain);
         let _ = std::fs::remove_file(&path);
     }
@@ -1119,25 +1122,25 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let policy = CheckpointPolicy::new(&path, 1);
         let (model, mut bound) = setup();
-        bootstrap_par_durable(
+        bootstrap_par(
             &model,
             &mut bound,
             &config,
             4,
             99, // different master seed
             &WorkPool::serial(),
-            &policy,
+            Some(&policy),
         )
         .unwrap();
         let (model, mut bound) = setup();
-        let recovered = bootstrap_par_durable(
+        let recovered = bootstrap_par(
             &model,
             &mut bound,
             &config,
             4,
             77,
             &WorkPool::serial(),
-            &policy,
+            Some(&policy),
         )
         .unwrap();
         assert!(matches!(
@@ -1162,5 +1165,35 @@ mod tests {
             bootstrap(&model, &mut bound, &config, &mut rng).unwrap()
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn bootstrap_checkpoint_roundtrips_exactly() {
+        let mut bound = VectorSetBound::new(3);
+        bound.add_vector(vec![-1.5, -2.25, 0.0]).unwrap();
+        bound.add_vector(vec![-3.0, -0.125, -1e-300]).unwrap();
+        bound.set_usage_counts(&[7, 0]).unwrap();
+        let report = BootstrapReport {
+            records: vec![IterationRecord {
+                iteration: 1,
+                bound_at_uniform: -0.1234567890123456,
+                n_vectors: 2,
+            }],
+            total_backups: 17,
+        };
+        let cp = BootstrapCheckpoint::capture(0xDEAD_BEEF, 4, &report, &bound);
+        // The payload bytes and kind tag are the on-disk format: pinned.
+        assert_eq!(
+            cp.encode(),
+            "fingerprint 00000000deadbeef\nnext 4\nbackups 17\nn_states 3\n\
+             record 1\t-0.1234567890123456\t2\nusage 7 0\nbound\n\
+             -1.5\t-2.25\t0.0\n-3.0\t-0.125\t-1e-300\n"
+        );
+        assert_eq!(BOOTSTRAP_KIND, "bootstrap");
+        let parsed = BootstrapCheckpoint::decode(&cp.encode()).unwrap();
+        assert_eq!(parsed, cp);
+        let restored = parsed.restore_bound().unwrap();
+        assert_eq!(restored, bound);
+        assert_eq!(restored.usage_counts(), bound.usage_counts());
     }
 }

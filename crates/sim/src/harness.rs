@@ -521,50 +521,6 @@ pub fn run_campaign<R: Rng + ?Sized>(
     Ok(CampaignSummary::from_outcomes(controller.name(), &outcomes))
 }
 
-/// [`run_campaign`] against degraded worlds. Each episode derives its
-/// own plan seed from `plan.seed` and the episode index, so episodes
-/// see independent perturbation streams while the whole campaign stays
-/// reproducible.
-///
-/// # Errors
-///
-/// Same as [`run_campaign`], plus plan validation failures.
-pub fn run_campaign_degraded<R: Rng + ?Sized>(
-    model: &RecoveryModel,
-    controller: &mut dyn RecoveryController,
-    fault_population: &[StateId],
-    episodes: usize,
-    plan: &PerturbationPlan,
-    config: &HarnessConfig,
-    rng: &mut R,
-) -> Result<CampaignSummary, Error> {
-    if fault_population.is_empty() {
-        return Err(Error::InvalidInput {
-            detail: "fault population must be non-empty".into(),
-        });
-    }
-    let mut outcomes = Vec::with_capacity(episodes);
-    for i in 0..episodes {
-        let fault = fault_population[i % fault_population.len()];
-        let episode_plan = PerturbationPlan {
-            // SplitMix64-style spread keeps per-episode streams apart.
-            // (Kept verbatim for seed-stability of recorded runs; the
-            // parallel engine uses `rand::split_seed` instead.)
-            seed: plan
-                .seed
-                .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..plan.clone()
-        };
-        outcomes.push(
-            EpisodeRunner::new(model)
-                .config(config)
-                .degraded(&episode_plan)
-                .run_with_rng(controller, fault, rng)?,
-        );
-    }
-    Ok(CampaignSummary::from_outcomes(controller.name(), &outcomes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,16 +625,6 @@ mod tests {
         let mut c = OracleController::new(m.clone());
         let mut rng = StdRng::seed_from_u64(5);
         assert!(run_campaign(&m, &mut c, &[], 5, &HarnessConfig::default(), &mut rng).is_err());
-        assert!(run_campaign_degraded(
-            &m,
-            &mut c,
-            &[],
-            5,
-            &PerturbationPlan::none(),
-            &HarnessConfig::default(),
-            &mut rng
-        )
-        .is_err());
     }
 
     #[test]

@@ -37,8 +37,8 @@ mod world;
 pub use campaign::{Campaign, CampaignReport, QuarantinedEpisode};
 pub use degraded::{DegradedWorld, PerturbationCounts, PerturbationPlan, SimWorld, StepResult};
 pub use harness::{
-    detection_belief, run_campaign, run_campaign_degraded, EpisodeOutcome, EpisodeRunner,
-    HarnessConfig, HarnessConfigBuilder, TraceEvent,
+    detection_belief, run_campaign, EpisodeOutcome, EpisodeRunner, HarnessConfig,
+    HarnessConfigBuilder, TraceEvent,
 };
 pub use metrics::CampaignSummary;
 pub use world::World;

@@ -3,7 +3,7 @@
 //! of the terminate action, and the qualitative Table 1 ordering on a
 //! small fault-injection run.
 
-use bpr_bench::experiments::{bounds_comparison, table1, Table1Config};
+use bpr_bench::experiments::{bounds_comparison, fig5, fig5_csv, table1, Table1Config};
 use bpr_emn::EmnConfig;
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::value_iteration::Discount;
@@ -124,4 +124,13 @@ fn claim_table1_qualitative_ordering() {
         bounded.mean_residual_time,
         heuristic.mean_residual_time
     );
+}
+
+/// `fig5.csv` is exactly what `fig5 --iterations 20 --seed 7 --csv
+/// fig5.csv` writes, so the committed series (and the EXPERIMENTS
+/// tables read off it) cannot drift from the code.
+#[test]
+fn committed_fig5_csv_matches_the_experiment() {
+    let series = fig5(20, 7).expect("fig5 runs");
+    assert_eq!(fig5_csv(&series), include_str!("../fig5.csv"));
 }
