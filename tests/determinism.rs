@@ -13,17 +13,29 @@
 //! * `bootstrap` (both variants, under eviction) and `bootstrap_par`
 //!   reproduce pinned hashes of their reports and final bounds, so a
 //!   change that moved every width the same way is still caught.
+//! * Every belief-tracking controller (and the two wrappers around the
+//!   bounded one) reproduces pinned campaign digests on EMN, in the
+//!   idealised world and in one with monitor dropout and corruption;
+//!   the serve daemon reproduces a pinned canonical report with all
+//!   three rungs deciding; and the rules preview reproduces its pinned
+//!   rows.
 
-use bpr_core::baselines::MostLikelyController;
+use bpr_core::baselines::{DiagnoseThenFixController, HeuristicController, MostLikelyController};
 use bpr_core::bootstrap::{bootstrap, bootstrap_par, BootstrapConfig, BootstrapVariant};
+use bpr_core::preview::{preview, PreviewOpts};
 use bpr_core::snapshot::fnv1a64;
-use bpr_core::{ActionId, StateId, TerminatedModel};
+use bpr_core::{
+    ActionId, AnytimeConfig, AnytimeController, Belief, BoundedConfig, BoundedController, Error,
+    LumpedController, NotifiedBoundedController, NotifiedConfig, RecoveryController, RecoveryModel,
+    ResilienceConfig, ResilientController, StateId, TerminatedModel,
+};
 use bpr_emn::actions::EmnAction;
 use bpr_emn::faults::EmnState;
 use bpr_emn::two_server;
 use bpr_emn::EmnConfig;
 use bpr_par::{split_seed, WorkPool};
 use bpr_pomdp::bounds::{ra_bound, VectorSetBound};
+use bpr_serve::{Daemon, Schedule, ServeConfig, SyntheticEvents};
 use bpr_sim::{Campaign, EpisodeRunner, PerturbationPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -222,4 +234,242 @@ fn bootstrap_par_on_emn_matches_pinned_digest() {
             "bootstrap_par at width {threads} drifted from its pinned digest"
         );
     }
+}
+
+/// The two worlds every controller pin runs in: the idealised one, and
+/// one whose monitors drop and corrupt observations (which drives
+/// `on_unobserved` and the resilient controller's robust update).
+fn pin_plans() -> [PerturbationPlan; 2] {
+    [
+        PerturbationPlan::none(),
+        PerturbationPlan {
+            seed: 0xD15C,
+            monitor_dropout_prob: 0.2,
+            obs_corruption_prob: 0.1,
+            ..PerturbationPlan::none()
+        },
+    ]
+}
+
+/// FNV-1a over a campaign's canonical outcomes and abort count.
+fn campaign_digest<C, F>(model: &RecoveryModel, plan: &PerturbationPlan, factory: F) -> u64
+where
+    C: RecoveryController,
+    F: Fn(usize) -> Result<C, Error> + Sync,
+{
+    let report = Campaign::new(model)
+        .population(&model.fault_states())
+        .episodes(8)
+        .max_steps(80)
+        .seed(2006)
+        .abort_tolerant(true)
+        .degraded(plan)
+        .run(factory)
+        .expect("campaign runs");
+    let canon = format!(
+        "{:?}\naborted={} quarantined={}",
+        report.canonical_outcomes(),
+        report.aborted,
+        report.quarantined.len()
+    );
+    fnv1a64(canon.as_bytes())
+}
+
+/// Checks one controller's pinned campaign digests, `[none, degraded]`.
+fn assert_campaign_pins<C, F>(name: &str, model: &RecoveryModel, pinned: [u64; 2], factory: F)
+where
+    C: RecoveryController,
+    F: Fn(usize) -> Result<C, Error> + Sync,
+{
+    let digests = pin_plans().map(|plan| campaign_digest(model, &plan, &factory));
+    assert_eq!(
+        digests, pinned,
+        "{name} campaigns drifted from their pinned digests"
+    );
+}
+
+fn emn_model() -> (RecoveryModel, TerminatedModel) {
+    let config = EmnConfig::default();
+    let model = bpr_emn::build_model(&config).expect("EMN model builds");
+    let transformed = model
+        .without_notification(config.operator_response_time)
+        .expect("transform");
+    (model, transformed)
+}
+
+/// Pinned campaigns of the three bounded-family controllers.
+#[test]
+fn bounded_family_campaigns_match_pinned_digests() {
+    let (model, transformed) = emn_model();
+    let bounded = BoundedController::new(transformed.clone(), BoundedConfig::default())
+        .expect("bounded builds");
+    assert_campaign_pins(
+        "bounded",
+        &model,
+        [7523015506728333396, 175155547550026401],
+        |_| Ok(bounded.clone()),
+    );
+    let anytime = AnytimeController::new(
+        transformed,
+        AnytimeConfig {
+            node_budget: 300,
+            max_depth: 2,
+            backup_online: true,
+            vector_cap: Some(12),
+            ..AnytimeConfig::default()
+        },
+    )
+    .expect("anytime builds");
+    assert_campaign_pins(
+        "anytime",
+        &model,
+        [8153743305328812460, 8348128169808035864],
+        |_| Ok(anytime.clone()),
+    );
+    let notified =
+        NotifiedBoundedController::new(&model, NotifiedConfig::default()).expect("notified builds");
+    assert_campaign_pins(
+        "bounded-notified",
+        &model,
+        [2593731390369065305, 6765209625821522417],
+        |_| Ok(notified.clone()),
+    );
+}
+
+/// Pinned campaigns of the three termination-probability baselines.
+#[test]
+fn baseline_campaigns_match_pinned_digests() {
+    let (model, _) = emn_model();
+    assert_campaign_pins(
+        "most-likely",
+        &model,
+        [15408186536377121676, 13260142606161555605],
+        |_| MostLikelyController::new(model.clone(), 0.9999),
+    );
+    assert_campaign_pins(
+        "heuristic",
+        &model,
+        [4564989116314916101, 3395747491074741556],
+        |_| HeuristicController::new(model.clone(), 1, 0.9999),
+    );
+    assert_campaign_pins(
+        "diagnose-fix",
+        &model,
+        [2035859530870468077, 433394678100597262],
+        |_| DiagnoseThenFixController::new(model.clone(), 0.8, 0.9999),
+    );
+}
+
+/// Pinned campaigns of the two wrappers around the bounded controller.
+#[test]
+fn wrapped_bounded_campaigns_match_pinned_digests() {
+    let (model, transformed) = emn_model();
+    let bounded = BoundedController::new(transformed.clone(), BoundedConfig::default())
+        .expect("bounded builds");
+    let resilient = ResilientController::new(model.clone(), bounded, ResilienceConfig::default())
+        .expect("resilient builds");
+    assert_campaign_pins(
+        "resilient-bounded",
+        &model,
+        [11374480065852760072, 4349778089375842642],
+        |_| Ok(resilient.clone()),
+    );
+    let (quotient, certificate) = transformed.lump().expect("lumps");
+    let lumped = LumpedController::new(
+        BoundedController::new(quotient, BoundedConfig::default()).expect("bounded builds"),
+        certificate,
+    );
+    assert_campaign_pins(
+        "bounded+lump",
+        &model,
+        [7523015506728333396, 175155547550026401],
+        |_| Ok(lumped.clone()),
+    );
+}
+
+/// Pinned canonical serve report on EMN with escalation thresholds low
+/// enough that the bounded, resilient and anytime rungs all decide.
+#[test]
+fn serve_on_emn_matches_pinned_canonical_digest() {
+    let (model, _) = emn_model();
+    let config = ServeConfig {
+        max_live: 4,
+        queue_capacity: 16,
+        degrade_queue_depth: 8,
+        max_steps: 40,
+        escalate_resilient_after: 2,
+        escalate_anytime_after: 4,
+        operator_response_time: EmnConfig::default().operator_response_time,
+        master_seed: 2006,
+        plan: pin_plans()[1].clone(),
+        record_actions: true,
+        ..ServeConfig::default()
+    };
+    let mut daemon = Daemon::new(&model, config).expect("daemon builds");
+    let mut source = SyntheticEvents::new(
+        2006,
+        Schedule::Bursty {
+            background: 1,
+            burst: 4,
+            period: 3,
+        },
+        model.fault_states(),
+        8,
+    )
+    .expect("source builds");
+    let canonical = daemon.run(&mut source).expect("run completes").canonical();
+    assert!(
+        canonical.escalated_resilient > 0,
+        "resilient rung never decided"
+    );
+    assert!(
+        canonical.escalated_anytime > 0,
+        "anytime rung never decided"
+    );
+    assert_eq!(
+        fnv1a64(format!("{canonical:?}").as_bytes()),
+        17639641289969471312u64,
+        "serve canonical report drifted from its pinned digest"
+    );
+}
+
+/// Pinned rows of the `rules_preview` example's setup: EMN, Average
+/// bootstrap at depth 2, horizon-3 preview from the uniform fault
+/// belief.
+#[test]
+fn rules_preview_rows_match_pinned_digest() {
+    let (model, transformed) = emn_model();
+    let mut bound = ra_bound(transformed.pomdp(), &Default::default()).expect("RA-Bound");
+    let mut rng = StdRng::seed_from_u64(7);
+    bootstrap(
+        &transformed,
+        &mut bound,
+        &BootstrapConfig {
+            variant: BootstrapVariant::Average,
+            iterations: 10,
+            depth: 2,
+            max_steps: 40,
+            conditioning_action: EmnAction::Observe.action_id(),
+            ..BootstrapConfig::default()
+        },
+        &mut rng,
+    )
+    .expect("bootstrap runs");
+    let initial = Belief::uniform_over(model.base().n_states(), &model.fault_states());
+    let rows = preview(
+        &transformed,
+        &bound,
+        &initial,
+        &PreviewOpts {
+            horizon: 3,
+            max_rows: 40,
+            ..PreviewOpts::default()
+        },
+    )
+    .expect("preview runs");
+    assert_eq!(
+        fnv1a64(format!("{rows:?}").as_bytes()),
+        2841862839112615693u64,
+        "preview rows drifted from their pinned digest"
+    );
 }
