@@ -46,6 +46,9 @@ echo "==> modelcheck (full-corpus lint gate: paper models + generated 10^2-10^4 
 cargo run -p bpr-bench --bin modelcheck --release -- \
   --quiet --out MODELCHECK.json --manifest MODELCHECK_manifest.json
 
+echo "==> lint corpus unchanged (the regenerated MODELCHECK.json must equal the committed one)"
+git diff --exit-code -- MODELCHECK.json
+
 echo "==> certify (certified-bound gate: kernel bounds bracketed by the plan oracle and MDP ceiling, BPR100-series policy analysis; fails on unsound/dominated rows or error findings)"
 cargo run -p bpr-bench --bin certify --release -- \
   --quiet --out CERTIFY.json

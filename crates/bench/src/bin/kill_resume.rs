@@ -17,7 +17,7 @@
 //!     [--out BENCH_kill_resume.json]`
 
 use bpr_bench::experiments::bootstrapped_bounded_d1_for;
-use bpr_bench::{flag, scenario_flag, string_flag};
+use bpr_bench::{flag, list_flag, scenario_flag, string_flag};
 use bpr_core::bootstrap::{bootstrap_par, BootstrapConfig, BootstrapVariant};
 use bpr_core::snapshot::CheckpointPolicy;
 use bpr_core::ActionId;
@@ -29,19 +29,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-fn threads_flag(args: &[String], default: &[usize]) -> Vec<usize> {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| {
-            v.split(',')
-                .map(|p| p.trim().parse::<usize>())
-                .collect::<Result<Vec<_>, _>>()
-                .ok()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,7 +43,7 @@ fn main() {
     // Unlike the scaling bench, widths here are a *correctness* check
     // (resume must be thread-count invariant), so oversubscribing the
     // hardware is fine and nothing is skipped.
-    let widths: Vec<usize> = threads_flag(&args, &[1, 2, 4])
+    let widths: Vec<usize> = list_flag(&args, "--threads", &[1, 2, 4])
         .into_iter()
         .filter(|&t| t >= 1)
         .collect();

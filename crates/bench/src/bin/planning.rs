@@ -31,7 +31,7 @@
 // `unsafe_code = "deny"` from the workspace lint table.
 #![allow(unsafe_code)]
 
-use bpr_bench::{flag, scenario_flag};
+use bpr_bench::{flag, list_flag, scenario_flag};
 use bpr_mdp::chain::SolveOpts;
 use bpr_par::WorkPool;
 use bpr_pomdp::bounds::ra_bound;
@@ -67,19 +67,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn threads_flag(args: &[String], default: &[usize]) -> Vec<usize> {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| {
-            v.split(',')
-                .map(|p| p.trim().parse::<usize>())
-                .collect::<Result<Vec<_>, _>>()
-                .ok()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 struct PathResult {
     wall_seconds: f64,
@@ -158,7 +145,7 @@ fn main() {
     let depth = flag(&args, "--depth", 2usize).max(1);
     let cutoff = flag(&args, "--cutoff", 1e-3f64);
     let min_speedup = flag(&args, "--min-speedup", 0.0f64);
-    let widths = threads_flag(&args, &[1, 2, 4]);
+    let widths = list_flag(&args, "--threads", &[1, 2, 4]);
 
     let registry = bpr::scenario::builtin();
     let scenario = scenario_flag(&registry, &args, "emn");

@@ -30,23 +30,9 @@
 //! comparable.
 
 use bpr_bench::experiments::{robustness_sweep_for, RobustnessCell, RobustnessConfig};
-use bpr_bench::{flag, scenario_flag, string_flag};
+use bpr_bench::{flag, list_flag, scenario_flag, string_flag};
 use bpr_par::WorkPool;
 use std::fmt::Write as _;
-
-/// Parses a comma-separated probability list flag.
-fn list_flag(args: &[String], name: &str, default: &[f64]) -> Vec<f64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| {
-            v.split(',')
-                .map(|p| p.trim().parse::<f64>())
-                .collect::<Result<Vec<_>, _>>()
-                .ok()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 /// Renders the sweep as hand-formatted JSON (same idiom as the other
 /// BENCH emitters — no serde in the workspace).

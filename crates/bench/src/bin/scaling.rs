@@ -13,7 +13,7 @@
 //!     [--out BENCH_scaling.json]`
 
 use bpr_bench::experiments::bootstrapped_bounded_d1_for;
-use bpr_bench::{flag, scenario_flag};
+use bpr_bench::{flag, list_flag, scenario_flag};
 use bpr_core::bootstrap::{bootstrap_par, BootstrapConfig, BootstrapVariant};
 use bpr_mdp::chain::SolveOpts;
 use bpr_par::WorkPool;
@@ -21,20 +21,6 @@ use bpr_pomdp::bounds::ra_bound;
 use bpr_sim::Campaign;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Parses the comma-separated `--threads` list.
-fn threads_flag(args: &[String], default: &[usize]) -> Vec<usize> {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| {
-            v.split(',')
-                .map(|p| p.trim().parse::<usize>())
-                .collect::<Result<Vec<_>, _>>()
-                .ok()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 struct WidthResult {
     threads: usize,
@@ -76,7 +62,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_scaling.json".to_string());
-    let widths = threads_flag(&args, &[1, 2, 4, 8]);
+    let widths = list_flag(&args, "--threads", &[1, 2, 4, 8]);
     let hardware = WorkPool::default().threads();
     let registry = bpr::scenario::builtin();
     let scenario = scenario_flag(&registry, &args, "emn");

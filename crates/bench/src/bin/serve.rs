@@ -59,7 +59,7 @@
 //!     [--min-events-per-sec 10000] [--snapshot serve.snapshot] \
 //!     [--out BENCH_serve.json]`
 
-use bpr_bench::{flag, string_flag};
+use bpr_bench::{flag, list_flag, string_flag};
 use bpr_core::scenario::{Scenario, ScenarioRegistry};
 use bpr_core::snapshot::{partition_path, CheckpointPolicy};
 use bpr_core::RecoveryModel;
@@ -73,19 +73,6 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-
-fn shards_flag(args: &[String], default: &[usize]) -> Vec<usize> {
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| {
-            v.split(',')
-                .map(|p| p.trim().parse::<usize>())
-                .collect::<Result<Vec<_>, _>>()
-                .ok()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 /// Comma-separated scenario-name list flag; `--scenario NAME`
 /// overrides every list to just `NAME` (one knob for CI smokes).
@@ -900,7 +887,7 @@ fn main() {
     let burst = flag(&args, "--burst", 750usize);
     let period = flag(&args, "--period", 10u64);
     let seed = flag(&args, "--seed", 7u64);
-    let shards = shards_flag(&args, &[1, 4]);
+    let shards = list_flag(&args, "--shards", &[1, 4]);
     let max_live = flag(&args, "--max-live", 8usize);
     let queue = flag(&args, "--queue", 256usize);
     let steps_per_round = flag(&args, "--steps-per-round", 2usize);

@@ -7,7 +7,7 @@ use bpr_core::bootstrap::{
 use bpr_core::scenario::Scenario;
 use bpr_core::{
     BoundedConfig, BoundedController, Error, LumpedController, RecoveryModel, ResilienceConfig,
-    ResilientController,
+    ResilientController, TerminatedModel,
 };
 use bpr_emn::actions::EmnAction;
 use bpr_emn::faults::EmnState;
@@ -453,53 +453,16 @@ pub fn bootstrapped_bounded(
     iterations: usize,
     depth: usize,
 ) -> Result<BoundedController, Error> {
-    let conditioning =
-        model
-            .observe_actions()
-            .first()
-            .copied()
-            .ok_or_else(|| Error::InvalidInput {
-                detail: "bootstrapped bounded controller needs an observe action to condition on"
-                    .to_string(),
-            })?;
-    let transformed = model.without_notification(operator_response_time)?;
-    let mut bound = ra_bound(transformed.pomdp(), &SolveOpts::default()).map_err(Error::Pomdp)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    bootstrap(
-        &transformed,
-        &mut bound,
-        &BootstrapConfig {
-            variant: BootstrapVariant::Average,
-            iterations,
-            depth,
-            max_steps: 40,
-            conditioning_action: conditioning,
-            ..BootstrapConfig::default()
-        },
-        &mut rng,
+    let (controller, ()) = bootstrapped_bounded_on(
+        model,
+        operator_response_time,
+        seed,
+        gamma_cutoff,
+        iterations,
+        depth,
+        |transformed| Ok((transformed, ())),
     )?;
-    // The default startup vertex sweeps repair the raw RA-Bound for an
-    // *un-bootstrapped* controller; here the bound is already
-    // bootstrap-refined, and at 10³+ states two full sweeps of
-    // point-belief backups dominate construction (minutes of
-    // single-threaded work for the cellfleet/region scenarios). Keep
-    // them only where they are cheap: paper-scale models.
-    let startup_vertex_sweeps = if transformed.pomdp().n_states() > STARTUP_SWEEP_STATE_CAP {
-        0
-    } else {
-        BoundedConfig::default().startup_vertex_sweeps
-    };
-    BoundedController::with_bound(
-        transformed,
-        bound,
-        BoundedConfig {
-            depth: 1,
-            gamma_cutoff,
-            vector_cap: Some(64),
-            startup_vertex_sweeps,
-            ..BoundedConfig::default()
-        },
-    )
+    Ok(controller)
 }
 
 /// Largest transformed state count that still gets the default startup
@@ -532,6 +495,34 @@ pub fn bootstrapped_bounded_lumped(
     iterations: usize,
     depth: usize,
 ) -> Result<LumpedController<BoundedController>, Error> {
+    let (inner, certificate) = bootstrapped_bounded_on(
+        model,
+        operator_response_time,
+        seed,
+        gamma_cutoff,
+        iterations,
+        depth,
+        |transformed| transformed.lump(),
+    )?;
+    Ok(LumpedController::new(inner, certificate))
+}
+
+/// The body of [`bootstrapped_bounded`] and
+/// [`bootstrapped_bounded_lumped`]: apply the no-notification
+/// transform, let `planning_model` pick the model to plan on (the
+/// transform itself, or its lumped quotient plus certificate), then
+/// RA-Bound, `iterations` Average bootstrap episodes at tree depth
+/// `depth` conditioned on the first observe action, and a depth-1
+/// controller with a 64-vector cap.
+fn bootstrapped_bounded_on<C>(
+    model: &RecoveryModel,
+    operator_response_time: f64,
+    seed: u64,
+    gamma_cutoff: f64,
+    iterations: usize,
+    depth: usize,
+    planning_model: impl FnOnce(TerminatedModel) -> Result<(TerminatedModel, C), Error>,
+) -> Result<(BoundedController, C), Error> {
     let conditioning =
         model
             .observe_actions()
@@ -541,12 +532,11 @@ pub fn bootstrapped_bounded_lumped(
                 detail: "bootstrapped bounded controller needs an observe action to condition on"
                     .to_string(),
             })?;
-    let transformed = model.without_notification(operator_response_time)?;
-    let (quotient, certificate) = transformed.lump()?;
-    let mut bound = ra_bound(quotient.pomdp(), &SolveOpts::default()).map_err(Error::Pomdp)?;
+    let (planned, extra) = planning_model(model.without_notification(operator_response_time)?)?;
+    let mut bound = ra_bound(planned.pomdp(), &SolveOpts::default()).map_err(Error::Pomdp)?;
     let mut rng = StdRng::seed_from_u64(seed);
     bootstrap(
-        &quotient,
+        &planned,
         &mut bound,
         &BootstrapConfig {
             variant: BootstrapVariant::Average,
@@ -558,13 +548,19 @@ pub fn bootstrapped_bounded_lumped(
         },
         &mut rng,
     )?;
-    let startup_vertex_sweeps = if quotient.pomdp().n_states() > STARTUP_SWEEP_STATE_CAP {
+    // The default startup vertex sweeps repair the raw RA-Bound for an
+    // *un-bootstrapped* controller; here the bound is already
+    // bootstrap-refined, and at 10³+ states two full sweeps of
+    // point-belief backups dominate construction (minutes of
+    // single-threaded work for the cellfleet/region scenarios). Keep
+    // them only where they are cheap: paper-scale models.
+    let startup_vertex_sweeps = if planned.pomdp().n_states() > STARTUP_SWEEP_STATE_CAP {
         0
     } else {
         BoundedConfig::default().startup_vertex_sweeps
     };
-    let inner = BoundedController::with_bound(
-        quotient,
+    let controller = BoundedController::with_bound(
+        planned,
         bound,
         BoundedConfig {
             depth: 1,
@@ -574,7 +570,7 @@ pub fn bootstrapped_bounded_lumped(
             ..BoundedConfig::default()
         },
     )?;
-    Ok(LumpedController::new(inner, certificate))
+    Ok((controller, extra))
 }
 
 /// Sweeps action-failure probability × monitor-dropout rate on a

@@ -22,6 +22,25 @@ pub fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T 
         .unwrap_or(default)
 }
 
+/// Comma-separated `--name a,b,c` list flag with a default. A list
+/// with any unparseable entry falls back to the whole default.
+pub fn list_flag<T: std::str::FromStr + Clone>(
+    args: &[String],
+    name: &str,
+    default: &[T],
+) -> Vec<T> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| {
+            v.split(',')
+                .map(|p| p.trim().parse::<T>())
+                .collect::<Result<Vec<_>, _>>()
+                .ok()
+        })
+        .unwrap_or_else(|| default.to_vec())
+}
+
 /// String-valued `--name value` flag with a default (used for
 /// `--scenario` and `--out` across the bench binaries).
 pub fn string_flag(args: &[String], name: &str, default: &str) -> String {
@@ -66,5 +85,20 @@ mod tests {
         // Unparseable values fall back to the default.
         let bad: Vec<String> = ["--faults", "abc"].iter().map(|s| s.to_string()).collect();
         assert_eq!(flag(&bad, "--faults", 7usize), 7);
+    }
+
+    #[test]
+    fn list_flag_parses_and_defaults() {
+        let args: Vec<String> = ["--threads", "1, 2,4", "--failures", "0.1,x"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(list_flag(&args, "--threads", &[8usize]), vec![1, 2, 4]);
+        assert_eq!(list_flag(&args, "--missing", &[8usize]), vec![8]);
+        // One bad entry falls back to the whole default list.
+        assert_eq!(list_flag(&args, "--failures", &[0.0, 0.2]), vec![0.0, 0.2]);
+        // A flag with no value also takes the default.
+        let bare = vec!["--shards".to_string()];
+        assert_eq!(list_flag(&bare, "--shards", &[1usize, 4]), vec![1, 4]);
     }
 }

@@ -16,10 +16,10 @@
 //! fails or stalls, decisions keep flowing at bounded cost instead of
 //! jumping straight to the belief-argmax heuristic.
 
+use crate::controller::Lifecycle;
 use crate::{Error, RecoveryController, Step, TerminatedModel};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::{ActionId, StateId};
-use bpr_pomdp::backup::incremental_backup;
 use bpr_pomdp::bounds::{ra_bound, ValueBound, VectorSetBound};
 use bpr_pomdp::{tree, Belief, ObservationId, PlanWorkspace, Pomdp};
 
@@ -282,8 +282,7 @@ pub struct AnytimeController {
     model: TerminatedModel,
     bound: VectorSetBound,
     config: AnytimeConfig,
-    belief: Option<Belief>,
-    terminated: bool,
+    life: Lifecycle,
     stats: AnytimeStats,
     workspace: PlanWorkspace,
 }
@@ -314,30 +313,13 @@ impl AnytimeController {
         config: AnytimeConfig,
     ) -> Result<AnytimeController, Error> {
         config.validate()?;
-        if bound.n_states() != model.pomdp().n_states() {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "bound covers {} states, model has {}",
-                    bound.n_states(),
-                    model.pomdp().n_states()
-                ),
-            });
-        }
-        let mut bound = bound;
-        // Seed the termination hyperplane b(s) = r(s, a_T), as the
-        // bounded controller does; no startup vertex sweeps — this
+        // No startup vertex sweeps, unlike the bounded controller: this
         // controller's contract is bounded per-call cost from the start.
-        let a_t = model.terminate_action();
-        let termination_plane: Vec<f64> = (0..model.pomdp().n_states())
-            .map(|s| model.pomdp().mdp().reward(s, a_t))
-            .collect();
-        bound.add_vector(termination_plane).map_err(Error::Pomdp)?;
         Ok(AnytimeController {
+            bound: model.seed_termination_plane(bound)?,
             model,
-            bound,
             config,
-            belief: None,
-            terminated: false,
+            life: Lifecycle::default(),
             stats: AnytimeStats::default(),
             workspace: PlanWorkspace::new(),
         })
@@ -365,7 +347,7 @@ impl AnytimeController {
 
     /// The belief over the *transformed* state space (including `s_T`).
     pub fn transformed_belief(&self) -> Option<&Belief> {
-        self.belief.as_ref()
+        self.life.belief()
     }
 }
 
@@ -375,46 +357,23 @@ impl RecoveryController for AnytimeController {
     }
 
     fn begin(&mut self, initial: Belief, _true_fault: Option<StateId>) -> Result<(), Error> {
-        let lifted = if initial.n_states() + 1 == self.model.pomdp().n_states() {
-            self.model.extend_belief(&initial)?
-        } else if initial.n_states() == self.model.pomdp().n_states() {
-            initial
-        } else {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "initial belief covers {} states, expected {} or {}",
-                    initial.n_states(),
-                    self.model.pomdp().n_states() - 1,
-                    self.model.pomdp().n_states()
-                ),
-            });
-        };
-        self.belief = Some(lifted);
-        self.terminated = false;
-        Ok(())
+        self.life.start_transformed(&self.model, initial)
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.guard()?;
         if self.config.backup_online {
-            incremental_backup(
-                self.model.pomdp(),
+            self.model.back_up(
                 &mut self.bound,
-                &belief,
+                belief,
                 self.config.beta,
-            )
-            .map_err(Error::Pomdp)?;
+                self.config.vector_cap,
+            )?;
             self.stats.backups += 1;
-            if let Some(cap) = self.config.vector_cap {
-                self.bound.evict_to(cap);
-            }
         }
-        let decision = anytime_expand_with_workspace(
+        let d = anytime_expand_with_workspace(
             self.model.pomdp(),
-            &belief,
+            belief,
             &self.bound,
             self.config.max_depth,
             self.config.node_budget,
@@ -423,46 +382,22 @@ impl RecoveryController for AnytimeController {
             &mut self.workspace,
         )?;
         self.stats.decisions += 1;
-        self.stats.nodes_expanded += decision.nodes_expanded;
-        self.stats.budget_exhaustions += usize::from(decision.budget_exhausted);
-        self.stats.deepest_completed = self.stats.deepest_completed.max(decision.completed_depth);
-
-        let a_t = self.model.terminate_action();
-        let terminate = decision.action == a_t
-            || (self.config.prefer_terminate_on_tie
-                && decision.q_values[a_t.index()] >= decision.value - 1e-12);
-        if terminate {
-            self.terminated = true;
-            return Ok(Step::Terminate);
+        self.stats.nodes_expanded += d.nodes_expanded;
+        self.stats.budget_exhaustions += usize::from(d.budget_exhausted);
+        self.stats.deepest_completed = self.stats.deepest_completed.max(d.completed_depth);
+        let tie = self.config.prefer_terminate_on_tie;
+        if self.model.terminates(d.action, d.value, &d.q_values, tie) {
+            return Ok(self.life.terminate());
         }
-        Ok(Step::Execute(decision.action))
+        Ok(Step::Execute(d.action))
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
-        if !self.model.is_base_action(action) {
-            return Err(Error::InvalidInput {
-                detail: "cannot observe after the terminate action".into(),
-            });
-        }
-        let (next, _gamma) = belief
-            .update(self.model.pomdp(), action, o)
-            .map_err(Error::Pomdp)?;
-        self.belief = Some(next);
-        Ok(())
+        self.life.observe_transformed(&self.model, action, o)
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.as_ref().and_then(|b| {
-            let base: Vec<f64> = b.probs()[..b.n_states() - 1].to_vec();
-            let sum: f64 = base.iter().sum();
-            let probs = if sum > 0.0 {
-                base.iter().map(|p| p / sum).collect()
-            } else {
-                base
-            };
-            Belief::from_probs(probs).ok()
-        })
+        self.model.project(self.life.belief()?)
     }
 }
 

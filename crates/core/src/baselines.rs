@@ -8,6 +8,7 @@
 //! externally supplied *termination probability* (0.9999 in the paper's
 //! experiments).
 
+use crate::controller::Lifecycle;
 use crate::{Error, RecoveryController, RecoveryModel, Step};
 use bpr_mdp::{ActionId, StateId};
 use bpr_pomdp::bounds::ValueBound;
@@ -28,8 +29,7 @@ fn validated_p_term(p_term: f64) -> Result<f64, Error> {
 pub struct MostLikelyController {
     model: RecoveryModel,
     p_term: f64,
-    belief: Option<Belief>,
-    terminated: bool,
+    life: Lifecycle,
 }
 
 impl MostLikelyController {
@@ -43,8 +43,7 @@ impl MostLikelyController {
         Ok(MostLikelyController {
             model,
             p_term: validated_p_term(p_term)?,
-            belief: None,
-            terminated: false,
+            life: Lifecycle::default(),
         })
     }
 
@@ -69,24 +68,13 @@ impl RecoveryController for MostLikelyController {
     }
 
     fn begin(&mut self, initial: Belief, _true_fault: Option<StateId>) -> Result<(), Error> {
-        if initial.n_states() != self.model.base().n_states() {
-            return Err(Error::InvalidInput {
-                detail: "initial belief dimension mismatch".into(),
-            });
-        }
-        self.belief = Some(initial);
-        self.terminated = false;
-        Ok(())
+        self.life.start(initial, self.model.base().n_states())
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
+        let belief = self.life.guard()?;
         if belief.prob_in(self.model.null_states()) >= self.p_term {
-            self.terminated = true;
-            return Ok(Step::Terminate);
+            return Ok(self.life.terminate());
         }
         let fault = self.most_likely_fault(belief).ok_or(Error::InvalidInput {
             detail: "recovery model has no fault states".into(),
@@ -100,16 +88,11 @@ impl RecoveryController for MostLikelyController {
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
-        let (next, _) = belief
-            .update(self.model.base(), action, o)
-            .map_err(Error::Pomdp)?;
-        self.belief = Some(next);
-        Ok(())
+        self.life.observe(self.model.base(), action, o)
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.clone()
+        self.life.belief().cloned()
     }
 }
 
@@ -147,8 +130,7 @@ pub struct HeuristicController {
     depth: usize,
     p_term: f64,
     gamma_cutoff: f64,
-    belief: Option<Belief>,
-    terminated: bool,
+    life: Lifecycle,
     nodes_expanded: usize,
 }
 
@@ -177,8 +159,7 @@ impl HeuristicController {
             depth,
             p_term: validated_p_term(p_term)?,
             gamma_cutoff: 1e-6,
-            belief: None,
-            terminated: false,
+            life: Lifecycle::default(),
             nodes_expanded: 0,
         })
     }
@@ -208,24 +189,13 @@ impl RecoveryController for HeuristicController {
     }
 
     fn begin(&mut self, initial: Belief, _true_fault: Option<StateId>) -> Result<(), Error> {
-        if initial.n_states() != self.model.base().n_states() {
-            return Err(Error::InvalidInput {
-                detail: "initial belief dimension mismatch".into(),
-            });
-        }
-        self.belief = Some(initial);
-        self.terminated = false;
-        Ok(())
+        self.life.start(initial, self.model.base().n_states())
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
+        let belief = self.life.guard()?;
         if belief.prob_in(self.model.null_states()) >= self.p_term {
-            self.terminated = true;
-            return Ok(Step::Terminate);
+            return Ok(self.life.terminate());
         }
         let decision = tree::expand_with_cutoff(
             self.model.base(),
@@ -241,16 +211,11 @@ impl RecoveryController for HeuristicController {
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
-        let (next, _) = belief
-            .update(self.model.base(), action, o)
-            .map_err(Error::Pomdp)?;
-        self.belief = Some(next);
-        Ok(())
+        self.life.observe(self.model.base(), action, o)
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.clone()
+        self.life.belief().cloned()
     }
 }
 
@@ -267,8 +232,7 @@ pub struct DiagnoseThenFixController {
     model: RecoveryModel,
     p_term: f64,
     diagnosis_threshold: f64,
-    belief: Option<Belief>,
-    terminated: bool,
+    life: Lifecycle,
 }
 
 impl DiagnoseThenFixController {
@@ -295,8 +259,7 @@ impl DiagnoseThenFixController {
             model,
             p_term: validated_p_term(p_term)?,
             diagnosis_threshold,
-            belief: None,
-            terminated: false,
+            life: Lifecycle::default(),
         })
     }
 }
@@ -307,24 +270,13 @@ impl RecoveryController for DiagnoseThenFixController {
     }
 
     fn begin(&mut self, initial: Belief, _true_fault: Option<StateId>) -> Result<(), Error> {
-        if initial.n_states() != self.model.base().n_states() {
-            return Err(Error::InvalidInput {
-                detail: "initial belief dimension mismatch".into(),
-            });
-        }
-        self.belief = Some(initial);
-        self.terminated = false;
-        Ok(())
+        self.life.start(initial, self.model.base().n_states())
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
+        let belief = self.life.guard()?;
         if belief.prob_in(self.model.null_states()) >= self.p_term {
-            self.terminated = true;
-            return Ok(Step::Terminate);
+            return Ok(self.life.terminate());
         }
         // Leading fault hypothesis, renormalised over the fault states.
         let fault_mass: f64 = self
@@ -357,16 +309,11 @@ impl RecoveryController for DiagnoseThenFixController {
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
-        let (next, _) = belief
-            .update(self.model.base(), action, o)
-            .map_err(Error::Pomdp)?;
-        self.belief = Some(next);
-        Ok(())
+        self.life.observe(self.model.base(), action, o)
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.clone()
+        self.life.belief().cloned()
     }
 }
 

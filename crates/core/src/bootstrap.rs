@@ -15,7 +15,6 @@ use crate::snapshot::{fnv1a64, read_snapshot, write_snapshot, CheckpointPolicy, 
 use crate::{Error, TerminatedModel};
 use bpr_mdp::{ActionId, StateId};
 use bpr_par::WorkPool;
-use bpr_pomdp::backup::incremental_backup;
 use bpr_pomdp::bounds::{ValueBound, VectorSetBound};
 use bpr_pomdp::{tree, Belief, Pomdp};
 use rand::rngs::StdRng;
@@ -178,7 +177,8 @@ pub fn bootstrap<R: Rng + ?Sized>(
         // Every backup immediately sharpens the bound this same episode
         // keeps planning with.
         walk_episode(model, &faults, config, rng, |belief| {
-            back_up(model.pomdp(), bound, config, belief, &mut report)?;
+            model.back_up(bound, belief, config.beta, config.vector_cap)?;
+            report.total_backups += 1;
             plan(model, config, bound, belief)
         })?;
         report.record(iteration, bound, &uniform_eval);
@@ -215,7 +215,8 @@ pub fn bootstrap_updates<R: Rng + ?Sized>(
     let mut report = BootstrapReport::default();
     for iteration in 1..=config.iterations {
         let (_, belief) = episode_start(model.pomdp(), &faults, config, rng);
-        back_up(model.pomdp(), bound, config, &belief, &mut report)?;
+        model.back_up(bound, &belief, config.beta, config.vector_cap)?;
+        report.total_backups += 1;
         report.record(iteration, bound, &uniform_eval);
     }
     Ok(report)
@@ -255,8 +256,10 @@ pub struct DurableBootstrapReport {
 /// *same* episode keeps planning with. Expect `bootstrap_par` with
 /// `batch == 1` and one thread to behave like [`bootstrap`] in spirit
 /// but not bit-for-bit: here planning always uses the round's snapshot.
-/// Monotone improvement of the bound is preserved (backups only add
-/// dominating hyperplanes).
+/// Without a `vector_cap` the bound never gets worse at any belief
+/// (backups only add hyperplanes). With a cap it can: least-used
+/// eviction may drop a hyperplane that dominates at some belief, so
+/// the bound there can fall between rounds.
 ///
 /// **Checkpointing.** With `checkpoint: None` the run never touches
 /// the filesystem. With a [`CheckpointPolicy`], the bound (usage
@@ -350,7 +353,8 @@ pub fn bootstrap_par(
         // independent of how the trajectories were scheduled.
         for (offset, trajectory) in trajectories.into_iter().enumerate() {
             for belief in &trajectory? {
-                back_up(model.pomdp(), bound, config, belief, &mut out.report)?;
+                model.back_up(bound, belief, config.beta, config.vector_cap)?;
+                out.report.total_backups += 1;
             }
             out.report
                 .record(next_episode + offset + 1, bound, &uniform_eval);
@@ -448,23 +452,6 @@ fn plan(
     .map_err(Error::Pomdp)
 }
 
-/// One incremental backup at `belief`, counted in `report`, then
-/// least-used eviction down to the vector cap.
-fn back_up(
-    pomdp: &Pomdp,
-    bound: &mut VectorSetBound,
-    config: &BootstrapConfig,
-    belief: &Belief,
-    report: &mut BootstrapReport,
-) -> Result<(), Error> {
-    incremental_backup(pomdp, bound, belief, config.beta).map_err(Error::Pomdp)?;
-    report.total_backups += 1;
-    if let Some(cap) = config.vector_cap {
-        bound.evict_to(cap);
-    }
-    Ok(())
-}
-
 /// Shared entry validation: config invariants plus the model-dependent
 /// checks every bootstrap flavour needs.
 fn check_against_model(config: &BootstrapConfig, model: &TerminatedModel) -> Result<(), Error> {
@@ -484,10 +471,7 @@ fn check_against_model(config: &BootstrapConfig, model: &TerminatedModel) -> Res
 
 /// The evaluation belief of Fig. 5: uniform over the base states.
 fn uniform_eval_belief(model: &TerminatedModel) -> Result<Belief, Error> {
-    let n_base = model.pomdp().n_states() - 1;
-    let mut probs = vec![1.0 / n_base as f64; n_base];
-    probs.push(0.0);
-    Belief::from_probs(probs).map_err(Error::Pomdp)
+    model.lift(Belief::uniform(model.pomdp().n_states() - 1))
 }
 
 /// The parameters that must match between the run that wrote a

@@ -1,5 +1,6 @@
 //! The paper's bounded recovery controller (§4).
 
+use crate::controller::Lifecycle;
 use crate::{Error, RecoveryController, Step, TerminatedModel};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::{ActionId, StateId};
@@ -99,8 +100,7 @@ pub struct BoundedController {
     bound: VectorSetBound,
     upper: Option<VectorSetBound>,
     config: BoundedConfig,
-    belief: Option<Belief>,
-    terminated: bool,
+    life: Lifecycle,
     stats: BoundedStats,
     workspace: PlanWorkspace,
 }
@@ -142,15 +142,7 @@ impl BoundedController {
                 detail: "root_threads must be at least 1".into(),
             });
         }
-        if bound.n_states() != model.pomdp().n_states() {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "bound covers {} states, model has {}",
-                    bound.n_states(),
-                    model.pomdp().n_states()
-                ),
-            });
-        }
+        let mut bound = model.seed_termination_plane(bound)?;
         let upper = if config.branch_and_bound {
             Some(
                 bpr_pomdp::bounds::qmdp_bound(
@@ -162,18 +154,9 @@ impl BoundedController {
         } else {
             None
         };
-        let mut bound = bound;
-        // Seed the termination hyperplane b(s) = r(s, a_T): the value of
-        // the blind terminate policy, a provable lower bound that keeps
-        // the set tight near S_φ where the raw RA-Bound is loose.
-        let a_t = model.terminate_action();
-        let termination_plane: Vec<f64> = (0..model.pomdp().n_states())
-            .map(|s| model.pomdp().mdp().reward(s, a_t))
-            .collect();
-        bound.add_vector(termination_plane).map_err(Error::Pomdp)?;
         for _ in 0..config.startup_vertex_sweeps {
             for s in 0..model.pomdp().n_states() {
-                let vertex = Belief::point(model.pomdp().n_states(), bpr_mdp::StateId::new(s));
+                let vertex = Belief::point(model.pomdp().n_states(), StateId::new(s));
                 incremental_backup(model.pomdp(), &mut bound, &vertex, config.beta)
                     .map_err(Error::Pomdp)?;
             }
@@ -183,8 +166,7 @@ impl BoundedController {
             bound,
             upper,
             config,
-            belief: None,
-            terminated: false,
+            life: Lifecycle::default(),
             stats: BoundedStats::default(),
             workspace: PlanWorkspace::new(),
         })
@@ -229,7 +211,7 @@ impl BoundedController {
 
     /// The belief over the *transformed* state space (including `s_T`).
     pub fn transformed_belief(&self) -> Option<&Belief> {
-        self.belief.as_ref()
+        self.life.belief()
     }
 }
 
@@ -239,51 +221,26 @@ impl RecoveryController for BoundedController {
     }
 
     fn begin(&mut self, initial: Belief, _true_fault: Option<StateId>) -> Result<(), Error> {
-        // Accept either a base-space belief (lift it) or a
-        // transformed-space belief.
-        let lifted = if initial.n_states() + 1 == self.model.pomdp().n_states() {
-            self.model.extend_belief(&initial)?
-        } else if initial.n_states() == self.model.pomdp().n_states() {
-            initial
-        } else {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "initial belief covers {} states, expected {} or {}",
-                    initial.n_states(),
-                    self.model.pomdp().n_states() - 1,
-                    self.model.pomdp().n_states()
-                ),
-            });
-        };
-        self.belief = Some(lifted);
-        self.terminated = false;
-        Ok(())
+        self.life.start_transformed(&self.model, initial)
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.guard()?;
         if self.config.backup_online {
-            incremental_backup(
-                self.model.pomdp(),
+            self.stats.vectors_evicted += self.model.back_up(
                 &mut self.bound,
-                &belief,
+                belief,
                 self.config.beta,
-            )
-            .map_err(Error::Pomdp)?;
+                self.config.vector_cap,
+            )?;
             self.stats.backups += 1;
-            if let Some(cap) = self.config.vector_cap {
-                self.stats.vectors_evicted += self.bound.evict_to(cap);
-            }
         }
-        let a_t = self.model.terminate_action();
-        let (action, value, q_at_terminate, nodes_expanded) = match &self.upper {
+        let parallel;
+        let d = match &self.upper {
             Some(upper) => {
                 tree::expand_branch_and_bound_with_workspace(
                     self.model.pomdp(),
-                    &belief,
+                    belief,
                     self.config.depth,
                     &self.bound,
                     upper,
@@ -292,15 +249,14 @@ impl RecoveryController for BoundedController {
                     &mut self.workspace,
                 )
                 .map_err(Error::Pomdp)?;
-                let d = self.workspace.decision();
-                (d.action, d.value, d.q_values[a_t.index()], d.nodes_expanded)
+                self.workspace.decision()
             }
             None if self.config.root_threads > 1 => {
                 let pool = WorkPool::new(self.config.root_threads)
                     .expect("root_threads validated at construction");
-                let d = tree::expand_par(
+                parallel = tree::expand_par(
                     self.model.pomdp(),
-                    &belief,
+                    belief,
                     self.config.depth,
                     &self.bound,
                     self.config.beta,
@@ -308,7 +264,7 @@ impl RecoveryController for BoundedController {
                     &pool,
                 )
                 .map_err(Error::Pomdp)?;
-                (d.action, d.value, d.q_values[a_t.index()], d.nodes_expanded)
+                &parallel
             }
             None => {
                 // Epoch-keyed cache: while the model, the bound's
@@ -324,7 +280,7 @@ impl RecoveryController for BoundedController {
                 };
                 tree::expand_with_workspace_epoch(
                     self.model.pomdp(),
-                    &belief,
+                    belief,
                     self.config.depth,
                     &self.bound,
                     self.config.beta,
@@ -333,51 +289,24 @@ impl RecoveryController for BoundedController {
                     &mut self.workspace,
                 )
                 .map_err(Error::Pomdp)?;
-                let d = self.workspace.decision();
-                (d.action, d.value, d.q_values[a_t.index()], d.nodes_expanded)
+                self.workspace.decision()
             }
         };
         self.stats.decisions += 1;
-        self.stats.nodes_expanded += nodes_expanded;
-
-        let terminate = action == a_t
-            || (self.config.prefer_terminate_on_tie && q_at_terminate >= value - 1e-12);
-        if terminate {
-            self.terminated = true;
-            return Ok(Step::Terminate);
+        self.stats.nodes_expanded += d.nodes_expanded;
+        let tie = self.config.prefer_terminate_on_tie;
+        if self.model.terminates(d.action, d.value, &d.q_values, tie) {
+            return Ok(self.life.terminate());
         }
-        Ok(Step::Execute(action))
+        Ok(Step::Execute(d.action))
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
-        if !self.model.is_base_action(action) {
-            return Err(Error::InvalidInput {
-                detail: "cannot observe after the terminate action".into(),
-            });
-        }
-        let (next, _gamma) = belief
-            .update(self.model.pomdp(), action, o)
-            .map_err(Error::Pomdp)?;
-        self.belief = Some(next);
-        Ok(())
+        self.life.observe_transformed(&self.model, action, o)
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.as_ref().and_then(|b| {
-            let base: Vec<f64> = b.probs()[..b.n_states() - 1].to_vec();
-            // Mass on s_T is zero until termination, so renormalising is
-            // a no-op in practice; it guards the corner case anyway.
-            let sum: f64 = base.iter().sum();
-            let probs = if sum > 0.0 {
-                base.iter().map(|p| p / sum).collect()
-            } else {
-                base
-            };
-            // A degenerate projection (all mass on s_T) has no base
-            // belief to report.
-            Belief::from_probs(probs).ok()
-        })
+        self.model.project(self.life.belief()?)
     }
 }
 
@@ -396,17 +325,6 @@ mod tests {
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn decide_before_begin_is_an_error() {
-        let mut c = controller(10.0, 1);
-        assert!(matches!(c.decide(), Err(Error::NotStarted)));
-        assert!(matches!(
-            c.observe(ActionId::new(0), ObservationId::new(0)),
-            Err(Error::NotStarted)
-        ));
-        assert!(c.belief().is_none());
     }
 
     #[test]
@@ -430,14 +348,6 @@ mod tests {
             Step::Execute(a) => assert_eq!(a.index(), 0),
             Step::Terminate => panic!("terminated with a certain fault"),
         }
-    }
-
-    #[test]
-    fn belief_in_null_terminates() {
-        let mut c = controller(10.0, 1);
-        c.begin(Belief::point(3, StateId::new(2)), None).unwrap();
-        assert_eq!(c.decide().unwrap(), Step::Terminate);
-        assert!(matches!(c.decide(), Err(Error::AlreadyTerminated)));
     }
 
     #[test]
@@ -494,12 +404,6 @@ mod tests {
         let tb = c.transformed_belief().unwrap();
         assert_eq!(tb.n_states(), 4);
         assert_eq!(tb.prob(StateId::new(3)), 0.0);
-    }
-
-    #[test]
-    fn wrong_dimension_belief_is_rejected() {
-        let mut c = controller(10.0, 1);
-        assert!(c.begin(Belief::uniform(7), None).is_err());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use crate::{conditions, Error};
 use bpr_mdp::{ActionId, MdpBuilder, StateId};
+use bpr_pomdp::backup::incremental_backup;
+use bpr_pomdp::bounds::VectorSetBound;
 use bpr_pomdp::{Belief, ObservationId, Pomdp, PomdpBuilder};
 use std::sync::{Arc, OnceLock};
 
@@ -465,6 +467,98 @@ impl TerminatedModel {
     /// True if `a` is an action of the base model (not `a_T`).
     pub fn is_base_action(&self, a: ActionId) -> bool {
         a != self.terminate_action
+    }
+
+    /// A controller's starting belief in the transformed space: a
+    /// base-space belief is lifted (zero mass on `s_T`), a
+    /// transformed-space one passes through.
+    pub(crate) fn lift(&self, belief: Belief) -> Result<Belief, Error> {
+        let n = self.pomdp.n_states();
+        if belief.n_states() + 1 == n {
+            self.extend_belief(&belief)
+        } else if belief.n_states() == n {
+            Ok(belief)
+        } else {
+            Err(Error::InvalidInput {
+                detail: format!(
+                    "initial belief covers {} states, expected {} or {}",
+                    belief.n_states(),
+                    n - 1,
+                    n
+                ),
+            })
+        }
+    }
+
+    /// The base-space view of a transformed belief: `s_T` dropped and
+    /// the rest renormalised. Mass on `s_T` is zero until termination,
+    /// so the renormalisation only guards that corner; a belief with
+    /// all its mass on `s_T` has no base view (`None`).
+    pub(crate) fn project(&self, belief: &Belief) -> Option<Belief> {
+        let base = &belief.probs()[..belief.n_states() - 1];
+        let sum: f64 = base.iter().sum();
+        let probs = if sum > 0.0 {
+            base.iter().map(|p| p / sum).collect()
+        } else {
+            base.to_vec()
+        };
+        Belief::from_probs(probs).ok()
+    }
+
+    /// Adds the termination hyperplane `b(s) = r(s, a_T)` to `bound`:
+    /// the value of the blind terminate policy, a provable lower bound
+    /// that keeps the set tight near `S_φ`, where the raw RA-Bound is
+    /// loose.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidInput`] if `bound` does not cover the
+    /// transformed state space.
+    pub(crate) fn seed_termination_plane(
+        &self,
+        mut bound: VectorSetBound,
+    ) -> Result<VectorSetBound, Error> {
+        let n = self.pomdp.n_states();
+        if bound.n_states() != n {
+            return Err(Error::InvalidInput {
+                detail: format!("bound covers {} states, model has {n}", bound.n_states()),
+            });
+        }
+        let plane = (0..n)
+            .map(|s| self.pomdp.mdp().reward(s, self.terminate_action))
+            .collect();
+        bound.add_vector(plane).map_err(Error::Pomdp)?;
+        Ok(bound)
+    }
+
+    /// One incremental backup of `bound` at `belief` (paper §4.1), then
+    /// least-used eviction down to `vector_cap`. Returns the number of
+    /// hyperplanes evicted.
+    pub(crate) fn back_up(
+        &self,
+        bound: &mut VectorSetBound,
+        belief: &Belief,
+        beta: f64,
+        vector_cap: Option<usize>,
+    ) -> Result<usize, Error> {
+        incremental_backup(&self.pomdp, bound, belief, beta).map_err(Error::Pomdp)?;
+        Ok(vector_cap.map_or(0, |cap| bound.evict_to(cap)))
+    }
+
+    /// The termination rule of a root decision: stop when `a_T` is the
+    /// maximising action or, with `prefer_on_tie`, when its q-value
+    /// ties the root value to within `1e-12` (breaking ties toward
+    /// `a_T` removes a non-termination case when free actions exist
+    /// inside `S_φ`).
+    pub(crate) fn terminates(
+        &self,
+        action: ActionId,
+        value: f64,
+        q_values: &[f64],
+        prefer_on_tie: bool,
+    ) -> bool {
+        action == self.terminate_action
+            || (prefer_on_tie && q_values[self.terminate_action.index()] >= value - 1e-12)
     }
 
     /// The fault states: base states outside `S_φ` (excluding `s_T`).

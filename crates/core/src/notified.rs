@@ -6,6 +6,7 @@
 //! makes `S_φ` absorbing and free, the RA-Bound converges, and the
 //! controller simply stops once the belief collapses onto `S_φ`.
 
+use crate::controller::Lifecycle;
 use crate::{Error, RecoveryController, RecoveryModel, Step};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::{ActionId, StateId};
@@ -48,8 +49,7 @@ pub struct NotifiedBoundedController {
     null_states: Vec<StateId>,
     bound: VectorSetBound,
     config: NotifiedConfig,
-    belief: Option<Belief>,
-    terminated: bool,
+    life: Lifecycle,
 }
 
 impl NotifiedBoundedController {
@@ -84,8 +84,7 @@ impl NotifiedBoundedController {
             null_states: model.null_states().to_vec(),
             bound,
             config,
-            belief: None,
-            terminated: false,
+            life: Lifecycle::default(),
         })
     }
 
@@ -106,32 +105,21 @@ impl RecoveryController for NotifiedBoundedController {
     }
 
     fn begin(&mut self, initial: Belief, _true_fault: Option<StateId>) -> Result<(), Error> {
-        if initial.n_states() != self.transformed.n_states() {
-            return Err(Error::InvalidInput {
-                detail: "initial belief dimension mismatch".into(),
-            });
-        }
-        self.belief = Some(initial);
-        self.terminated = false;
-        Ok(())
+        self.life.start(initial, self.transformed.n_states())
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.guard()?;
         if belief.prob_in(&self.null_states) >= self.config.notification_threshold {
-            self.terminated = true;
-            return Ok(Step::Terminate);
+            return Ok(self.life.terminate());
         }
         if self.config.backup_online {
-            incremental_backup(&self.transformed, &mut self.bound, &belief, 1.0)
+            incremental_backup(&self.transformed, &mut self.bound, belief, 1.0)
                 .map_err(Error::Pomdp)?;
         }
         let decision = tree::expand_with_cutoff(
             &self.transformed,
-            &belief,
+            belief,
             self.config.depth,
             &self.bound,
             1.0,
@@ -142,16 +130,11 @@ impl RecoveryController for NotifiedBoundedController {
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.as_ref().ok_or(Error::NotStarted)?;
-        let (next, _) = belief
-            .update(&self.transformed, action, o)
-            .map_err(Error::Pomdp)?;
-        self.belief = Some(next);
-        Ok(())
+        self.life.observe(&self.transformed, action, o)
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.clone()
+        self.life.belief().cloned()
     }
 }
 
@@ -220,14 +203,6 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn lifecycle_errors() {
-        let model = notified_model();
-        let mut c = NotifiedBoundedController::new(&model, NotifiedConfig::default()).unwrap();
-        assert!(matches!(c.decide(), Err(Error::NotStarted)));
-        assert!(c.begin(Belief::uniform(5), None).is_err());
     }
 
     #[test]

@@ -88,15 +88,7 @@ pub fn preview(
         });
     }
     let pomdp = model.pomdp();
-    let initial = if initial.n_states() + 1 == pomdp.n_states() {
-        model.extend_belief(initial)?
-    } else if initial.n_states() == pomdp.n_states() {
-        initial.clone()
-    } else {
-        return Err(Error::InvalidInput {
-            detail: "initial belief dimension mismatch".into(),
-        });
-    };
+    let initial = model.lift(initial.clone())?;
 
     let mut rows = Vec::new();
     let mut seen: HashMap<Vec<u64>, ()> = HashMap::new();
@@ -122,8 +114,7 @@ pub fn preview(
             opts.gamma_cutoff,
         )
         .map_err(Error::Pomdp)?;
-        let terminate = decision.action == model.terminate_action()
-            || decision.q_values[model.terminate_action().index()] >= decision.value - 1e-12;
+        let terminate = model.terminates(decision.action, decision.value, &decision.q_values, true);
         rows.push(PreviewRow {
             depth,
             belief: belief.clone(),

@@ -30,7 +30,7 @@
 //!   after confirmation observations agree the system looks healthy;
 //!   otherwise it is treated as a diagnosis failure and escalated.
 
-use crate::controller::ResilienceStats;
+use crate::controller::{Lifecycle, ResilienceStats};
 use crate::{AnytimeController, Error, RecoveryController, RecoveryModel, Step};
 use bpr_mdp::{ActionId, StateId};
 use bpr_pomdp::{Belief, ObservationId, RobustUpdate};
@@ -161,10 +161,11 @@ pub struct ResilientController<C> {
     /// observations); false forces a re-begin from the robust belief.
     anytime_live: bool,
 
-    belief: Option<Belief>,
+    /// The robust belief (its own update, not the Bayes one) and the
+    /// termination flag.
+    life: Lifecycle,
     level: EscalationLevel,
     stats: ResilienceStats,
-    terminated: bool,
     steps: usize,
     wall: f64,
 
@@ -223,10 +224,9 @@ impl<C: RecoveryController> ResilientController<C> {
             reboot_ladder,
             anytime: None,
             anytime_live: false,
-            belief: None,
+            life: Lifecycle::default(),
             level: EscalationLevel::Inner,
             stats: ResilienceStats::default(),
-            terminated: false,
             steps: 0,
             wall: 0.0,
             last_action: None,
@@ -324,8 +324,8 @@ impl<C: RecoveryController> ResilientController<C> {
     }
 
     fn null_mass(&self) -> f64 {
-        self.belief
-            .as_ref()
+        self.life
+            .belief()
             .map_or(0.0, |b| b.prob_in(self.model.null_states()))
     }
 
@@ -349,7 +349,7 @@ impl<C: RecoveryController> ResilientController<C> {
             self.inner_poisoned = true;
             self.escalate(self.post_inner_level());
         }
-        self.belief = Some(fresh);
+        self.life.set(fresh);
     }
 
     fn reset_run_tracking(&mut self) {
@@ -363,7 +363,7 @@ impl<C: RecoveryController> ResilientController<C> {
     /// exhausted without ratcheting belief progress.
     fn note_action(&mut self, action: ActionId) -> bool {
         let null = self.null_mass();
-        let confidence = self.belief.as_ref().map_or(0.0, |b| b.most_likely().1);
+        let confidence = self.life.belief().map_or(0.0, |b| b.most_likely().1);
         if self.last_action == Some(action) {
             let progressed = null > self.run_best_null + self.config.progress_epsilon
                 || confidence > self.run_best_confidence + self.config.progress_epsilon;
@@ -397,8 +397,7 @@ impl<C: RecoveryController> ResilientController<C> {
     }
 
     fn terminate_now(&mut self) -> Result<Step, Error> {
-        self.terminated = true;
-        Ok(Step::Terminate)
+        Ok(self.life.terminate())
     }
 
     /// Gate in front of every termination: demand
@@ -425,7 +424,7 @@ impl<C: RecoveryController> ResilientController<C> {
     }
 
     fn decide_heuristic(&mut self) -> Result<Step, Error> {
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.belief().cloned().ok_or(Error::NotStarted)?;
         // Most likely faults first; each gets a bounded number of shots
         // at its cheapest recovery action.
         let mut faults: Vec<StateId> = self
@@ -484,7 +483,7 @@ impl<C: RecoveryController> ResilientController<C> {
     /// the current robust belief; any failure sends the ladder on to
     /// the heuristic.
     fn decide_anytime(&mut self) -> Result<Step, Error> {
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.belief().cloned().ok_or(Error::NotStarted)?;
         let needs_begin = !self.anytime_live;
         let result = match self.anytime.as_mut() {
             Some(anytime) => {
@@ -524,20 +523,14 @@ impl<C: RecoveryController> RecoveryController for ResilientController<C> {
     }
 
     fn begin(&mut self, initial: Belief, true_fault: Option<StateId>) -> Result<(), Error> {
-        if initial.n_states() != self.model.base().n_states() {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "initial belief covers {} states, model has {}",
-                    initial.n_states(),
-                    self.model.base().n_states()
-                ),
-            });
-        }
-        self.inner.begin(initial.clone(), true_fault)?;
-        self.belief = Some(initial);
+        // Check the dimension before the inner controller sees the
+        // belief, and change nothing unless both accept it.
+        let mut life = Lifecycle::default();
+        life.start(initial.clone(), self.model.base().n_states())?;
+        self.inner.begin(initial, true_fault)?;
+        self.life = life;
         self.level = EscalationLevel::Inner;
         self.stats = ResilienceStats::default();
-        self.terminated = false;
         self.steps = 0;
         self.wall = 0.0;
         self.surprise_streak = 0;
@@ -553,12 +546,7 @@ impl<C: RecoveryController> RecoveryController for ResilientController<C> {
     }
 
     fn decide(&mut self) -> Result<Step, Error> {
-        if self.terminated {
-            return Err(Error::AlreadyTerminated);
-        }
-        if self.belief.is_none() {
-            return Err(Error::NotStarted);
-        }
+        self.life.guard()?;
         self.steps += 1;
         // Hard budgets trump everything: recovery must end.
         if self.steps > self.config.max_steps || self.wall > self.config.max_wall_clock {
@@ -614,7 +602,7 @@ impl<C: RecoveryController> RecoveryController for ResilientController<C> {
     }
 
     fn observe(&mut self, action: ActionId, o: ObservationId) -> Result<(), Error> {
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.belief().cloned().ok_or(Error::NotStarted)?;
         self.wall += self.model.base().mdp().duration(action);
 
         // Surprise assessment: likelihood of the observation under the
@@ -638,7 +626,7 @@ impl<C: RecoveryController> RecoveryController for ResilientController<C> {
                 self.calm_streak += 1;
             }
         }
-        self.belief = Some(next);
+        self.life.set(next);
 
         if self.surprise_streak >= self.config.divergence_window {
             if self.resets_used < self.config.max_belief_resets {
@@ -679,18 +667,18 @@ impl<C: RecoveryController> RecoveryController for ResilientController<C> {
     }
 
     fn on_unobserved(&mut self, action: ActionId) -> Result<(), Error> {
-        let belief = self.belief.clone().ok_or(Error::NotStarted)?;
+        let belief = self.life.belief().cloned().ok_or(Error::NotStarted)?;
         self.wall += self.model.base().mdp().duration(action);
         // Predict-only update: the action happened, the monitors said
         // nothing. The inner controller has no such notion — its belief
         // simply goes stale, which the divergence watchdog will catch.
         let probs = belief.predict(self.model.base(), action);
-        self.belief = Some(Belief::from_probs(probs)?);
+        self.life.set(Belief::from_probs(probs)?);
         Ok(())
     }
 
     fn belief(&self) -> Option<Belief> {
-        self.belief.clone()
+        self.life.belief().cloned()
     }
 
     fn resilience_stats(&self) -> Option<ResilienceStats> {
@@ -832,7 +820,10 @@ mod tests {
             }
         }
         assert_eq!(world, 2, "hardened controller never fixed the fault");
-        assert!(c.terminated, "episode did not terminate");
+        assert!(
+            matches!(c.decide(), Err(Error::AlreadyTerminated)),
+            "episode did not terminate"
+        );
         let stats = c.resilience_stats().unwrap();
         assert!(
             stats.belief_resets + stats.escalations + stats.retries > 0,
@@ -897,7 +888,10 @@ mod tests {
             }
         }
         assert_eq!(world, 2, "anytime rung failed to recover the fault");
-        assert!(c.terminated, "episode did not terminate");
+        assert!(
+            matches!(c.decide(), Err(Error::AlreadyTerminated)),
+            "episode did not terminate"
+        );
         let stats = c.resilience_stats().unwrap();
         assert!(
             stats.anytime_decisions >= 1,

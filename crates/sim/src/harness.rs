@@ -22,12 +22,8 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Knobs of the harness itself (controller policy knobs live on the
-/// controllers).
-///
-/// The fields stay public for struct-literal construction, but
-/// [`HarnessConfig::builder`] is the recommended path: it validates and
-/// returns an `Err` on nonsense instead of silently running, and every
-/// harness entry point re-checks via [`HarnessConfig::validate`].
+/// controllers). Every harness entry point checks the configuration
+/// with [`HarnessConfig::validate`] before running.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessConfig {
     /// Per-episode step cap; a controller that has not terminated after
@@ -43,13 +39,6 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Starts a validated builder, initialised to the defaults.
-    pub fn builder() -> HarnessConfigBuilder {
-        HarnessConfigBuilder {
-            config: HarnessConfig::default(),
-        }
-    }
-
     /// Checks the configuration for values that would make every
     /// episode degenerate.
     ///
@@ -65,30 +54,6 @@ impl HarnessConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`HarnessConfig`].
-#[derive(Debug, Clone)]
-pub struct HarnessConfigBuilder {
-    config: HarnessConfig,
-}
-
-impl HarnessConfigBuilder {
-    /// Sets the per-episode step cap.
-    pub fn max_steps(mut self, max_steps: usize) -> HarnessConfigBuilder {
-        self.config.max_steps = max_steps;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HarnessConfig::validate`].
-    pub fn build(self) -> Result<HarnessConfig, Error> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -645,12 +610,9 @@ mod tests {
             .max_steps(0)
             .run(&mut c, StateId::new(two_server::FAULT_A))
             .is_err());
-        assert!(HarnessConfig::builder().max_steps(0).build().is_err());
-        assert_eq!(
-            HarnessConfig::builder().max_steps(7).build().unwrap(),
-            HarnessConfig { max_steps: 7 }
-        );
-        assert!(HarnessConfig::builder().build().is_ok());
+        assert!(HarnessConfig { max_steps: 0 }.validate().is_err());
+        assert!(HarnessConfig { max_steps: 7 }.validate().is_ok());
+        assert!(HarnessConfig::default().validate().is_ok());
     }
 
     #[test]

@@ -37,8 +37,7 @@ mod world;
 pub use campaign::{Campaign, CampaignReport, QuarantinedEpisode};
 pub use degraded::{DegradedWorld, PerturbationCounts, PerturbationPlan, SimWorld, StepResult};
 pub use harness::{
-    detection_belief, run_campaign, EpisodeOutcome, EpisodeRunner, HarnessConfig,
-    HarnessConfigBuilder, TraceEvent,
+    detection_belief, run_campaign, EpisodeOutcome, EpisodeRunner, HarnessConfig, TraceEvent,
 };
 pub use metrics::CampaignSummary;
 pub use world::World;
