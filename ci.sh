@@ -37,7 +37,7 @@ echo "==> planning-throughput smoke (fails on fused/parallel divergence or stead
 cargo run -p bpr-bench --bin planning --release -- \
   --decisions 8 --depth 2 --threads 1,2,4
 
-echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under 1.5x lumped+cached speedup, on divergence, or on steady-state allocations)"
+echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, on divergence, or on steady-state allocations; cache replay is reported, not gated)"
 cargo run -p bpr-bench --bin planning --release -- \
   --scenario cellfleet-mid --decisions 5 --depth 1 --threads 1,2 \
   --min-speedup 1.5

@@ -2,21 +2,25 @@
 //! kernel: measures decisions/sec and nodes/sec on any registry
 //! scenario (default: the paper's EMN model) for the retained legacy
 //! path, the fused workspace path on the lumped quotient (cold: cache
-//! cleared per decision; warm: epoch-keyed cross-decision reuse), and
-//! root-parallel expansion at several widths — all in the same run, so
-//! the reported speedups compare like with like.
+//! cleared per decision, so every decision runs the kernel), the same
+//! path under one cache epoch (cache replay: the benchmark repeats one
+//! belief, so after warm-up every decision is answered from
+//! cross-decision cache entries and measures the cache, not the
+//! kernel), and root-parallel expansion at several widths — all in the
+//! same run, so the reported speedups compare like with like.
 //!
-//! Four properties gate the run (exit nonzero on violation):
+//! Five properties gate the run (exit nonzero on violation):
 //!
 //! 1. the fused decision on the lumped quotient is **value-identical**
 //!    to the legacy decision on the full model — bit-identical when the
 //!    lumping is the identity, within 1e-9 otherwise (same action, same
 //!    node count, matching root and per-action values);
-//! 2. warm (cross-decision cached) decisions are bit-identical to cold;
+//! 2. cache-replay decisions are bit-identical to cold;
 //! 3. root-parallel decisions are bit-identical to sequential at every
 //!    requested width;
 //! 4. steady-state fused decisions perform **zero heap allocations**
-//!    (counted by a tallying global allocator in this binary only).
+//!    (counted by a tallying global allocator in this binary only);
+//! 5. the cold speedup over legacy is at least `--min-speedup`.
 //!
 //! Results land in `BENCH_planning_<scenario>.json`.
 //!
@@ -233,9 +237,10 @@ fn main() {
         fused_cold.decisions_per_sec, fused_cold.nodes_per_sec, cold_allocs, decisions
     );
 
-    // --- Fused workspace path, epoch-keyed (warm): the cache persists
-    // across decisions under one (model fingerprint, bound generation,
-    // β, γ) epoch, so repeated decisions reuse each other's τ-vectors.
+    // --- Fused workspace path, epoch-keyed (cache replay): the cache
+    // persists across decisions under one (model fingerprint, bound
+    // generation, β, γ) epoch, and every decision repeats the same
+    // belief, so after warm-up each one replays the root entries.
     let epoch = CacheEpoch {
         model_fingerprint: qpomdp.fingerprint(),
         bound_generation: qbound.generation(),
@@ -250,8 +255,8 @@ fn main() {
     }
     if ws.decision() != &cold_ref {
         eprintln!(
-            "DIVERGENCE: warm (cross-decision cached) decision differs from cold\n  \
-             cold: {cold_ref:?}\n  warm: {:?}",
+            "DIVERGENCE: cache-replay decision differs from cold\n  \
+             cold:   {cold_ref:?}\n  replay: {:?}",
             ws.decision()
         );
         std::process::exit(1);
@@ -259,24 +264,24 @@ fn main() {
     ws.reset_stats();
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
-    let mut warm_nodes = 0usize;
+    let mut replay_nodes = 0usize;
     for _ in 0..decisions {
         tree::expand_with_workspace_epoch(
             qpomdp, &qbelief, depth, &qbound, 1.0, cutoff, epoch, &mut ws,
         )
         .expect("epoch expansion succeeds");
-        warm_nodes += ws.decision().nodes_expanded;
+        replay_nodes += ws.decision().nodes_expanded;
     }
-    let warm_wall = start.elapsed().as_secs_f64();
+    let replay_wall = start.elapsed().as_secs_f64();
     let steady_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let fused = rates(decisions, warm_nodes, warm_wall);
+    let replay = rates(decisions, replay_nodes, replay_wall);
     let allocs_per_decision = steady_allocs as f64 / decisions as f64;
     let stats = ws.stats().clone();
     println!(
-        "  fused (warm):  {:.1} decisions/sec, {:.0} nodes/sec, {} allocations over {} decisions, \
+        "  cache replay:  {:.1} decisions/sec, {:.0} nodes/sec, {} allocations over {} decisions, \
          cache {}/{} hits/misses ({} cross-decision)",
-        fused.decisions_per_sec,
-        fused.nodes_per_sec,
+        replay.decisions_per_sec,
+        replay.nodes_per_sec,
         steady_allocs,
         decisions,
         stats.cache_hits,
@@ -285,17 +290,20 @@ fn main() {
     );
     if cold_allocs != 0 || steady_allocs != 0 {
         eprintln!(
-            "ALLOCATION GATE: {cold_allocs} cold + {steady_allocs} warm heap allocations in \
+            "ALLOCATION GATE: {cold_allocs} cold + {steady_allocs} cache-replay heap allocations in \
              {decisions} steady-state fused decisions each (expected 0)"
         );
         std::process::exit(1);
     }
 
-    let speedup = fused.decisions_per_sec / legacy.decisions_per_sec;
     let cold_speedup = fused_cold.decisions_per_sec / legacy.decisions_per_sec;
-    println!("  speedup (fused over legacy): {speedup:.2}x warm, {cold_speedup:.2}x cold");
-    if speedup < min_speedup {
-        eprintln!("SPEEDUP GATE: {speedup:.2}x < required {min_speedup:.2}x");
+    let replay_speedup = replay.decisions_per_sec / legacy.decisions_per_sec;
+    println!(
+        "  speedup over legacy: {cold_speedup:.2}x cold (the kernel), \
+         {replay_speedup:.2}x cache replay (not the kernel)"
+    );
+    if cold_speedup < min_speedup {
+        eprintln!("SPEEDUP GATE: cold {cold_speedup:.2}x < required {min_speedup:.2}x");
         std::process::exit(1);
     }
 
@@ -354,7 +362,7 @@ fn main() {
     json.push_str(",\n  ");
     write_path(&mut json, "fused_cold", &fused_cold);
     json.push_str(",\n  ");
-    write_path(&mut json, "fused", &fused);
+    write_path(&mut json, "cache_replay", &replay);
     let _ = write!(
         json,
         ",\n  \"allocations_per_decision\": {allocs_per_decision:.3},\n  \
@@ -367,8 +375,9 @@ fn main() {
     write_u64s(&mut json, &stats.cache_misses_by_depth);
     let _ = write!(
         json,
-        "}},\n  \"speedup_fused_over_legacy\": {speedup:.3}, \
-         \"speedup_cold_over_legacy\": {cold_speedup:.3},\n  \"parallel\": {parallel_rows}\n}}\n",
+        "}},\n  \"speedup_cold_over_legacy\": {cold_speedup:.3}, \
+         \"speedup_cache_replay_over_legacy\": {replay_speedup:.3},\n  \
+         \"parallel\": {parallel_rows}\n}}\n",
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");

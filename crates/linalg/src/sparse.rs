@@ -278,6 +278,19 @@ impl CsrMatrix {
         }
     }
 
+    /// The stored column indices (ascending) and values of one row, as
+    /// two parallel slices of the CSR arrays — the row's support,
+    /// without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.nrows()`.
+    pub fn row_slice(&self, row: usize) -> (&[usize], &[f64]) {
+        assert!(row < self.nrows, "row out of bounds");
+        let (s, e) = (self.row_ptr[row], self.row_ptr[row + 1]);
+        (&self.col_idx[s..e], &self.values[s..e])
+    }
+
     /// Computes `y = self * x`.
     ///
     /// # Errors
@@ -709,6 +722,17 @@ mod tests {
     #[test]
     fn identity_is_stochastic() {
         assert!(CsrMatrix::identity(4).is_stochastic(1e-12));
+    }
+
+    #[test]
+    fn row_slice_matches_the_row_iterator() {
+        let m = CsrMatrix::from_triplets(3, 4, &[(0, 3, 1.0), (0, 1, 2.0), (2, 0, 3.0)]).unwrap();
+        for r in 0..3 {
+            let (cols, vals) = m.row_slice(r);
+            let pairs: Vec<(usize, f64)> = cols.iter().copied().zip(vals.iter().copied()).collect();
+            assert_eq!(pairs, m.row(r).collect::<Vec<_>>(), "row {r}");
+        }
+        assert_eq!(m.row_slice(1), (&[][..], &[][..]));
     }
 
     #[test]

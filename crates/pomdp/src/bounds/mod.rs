@@ -48,6 +48,21 @@ pub trait ValueBound {
     fn value_weights(&self, weights: &[f64]) -> f64 {
         self.value(&Belief::from_raw(weights.to_vec()))
     }
+
+    /// [`ValueBound::value_weights`] for a belief known to vanish off
+    /// `support`: every index where `weights` may be non-zero, in
+    /// ascending order, without repeats (the tree kernel passes the
+    /// stored columns of the observation row that produced the branch).
+    ///
+    /// Must return exactly the bits of
+    /// [`ValueBound::value_weights`]`(weights)`. The default forwards to
+    /// it; [`VectorSetBound`] overrides it with support-restricted dot
+    /// products, which is what keeps leaf evaluation on 10³-state
+    /// models proportional to the branch's support instead of `|S|`.
+    fn value_support(&self, weights: &[f64], support: &[usize]) -> f64 {
+        let _ = support;
+        self.value_weights(weights)
+    }
 }
 
 /// A constant bound, independent of the belief.
@@ -74,6 +89,10 @@ impl<B: ValueBound + ?Sized> ValueBound for &B {
 
     fn value_weights(&self, weights: &[f64]) -> f64 {
         (**self).value_weights(weights)
+    }
+
+    fn value_support(&self, weights: &[f64], support: &[usize]) -> f64 {
+        (**self).value_support(weights, support)
     }
 }
 

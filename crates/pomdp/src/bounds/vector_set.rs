@@ -357,6 +357,32 @@ impl ValueBound for VectorSetBound {
         self.best_vector_quiet(weights)
             .map_or(f64::NEG_INFINITY, |(_, v)| v)
     }
+
+    /// The same maximisation with each dot product summed over
+    /// `support` only. Off the support every term is `0 · b[i] = ±0`,
+    /// and adding a signed zero to a non-zero partial sum is exact, so
+    /// a non-zero support sum equals the dense [`dense::dot`] bit for
+    /// bit. An all-zero sum is not: `f64`'s `Sum` folds from `-0.0`,
+    /// and the sign of a zero total depends on the signs of the
+    /// off-support `b[i]` (a leaf concentrated where `b` is zero, such
+    /// as the null state against the termination plane `r(·, a_T)`,
+    /// gets `+0.0` or `-0.0` from entries it never touches). Those
+    /// hyperplanes are recomputed densely.
+    fn value_support(&self, weights: &[f64], support: &[usize]) -> f64 {
+        assert_eq!(weights.len(), self.n_states, "weight length mismatch");
+        self.vectors
+            .iter()
+            .map(|b| {
+                let sum: f64 = support.iter().map(|&i| weights[i] * b[i]).sum();
+                if sum == 0.0 {
+                    dense::dot(weights, b)
+                } else {
+                    sum
+                }
+            })
+            .max_by(|a, b| a.partial_cmp(b).expect("finite bound values"))
+            .unwrap_or(f64::NEG_INFINITY)
+    }
 }
 
 #[cfg(test)]
@@ -519,6 +545,40 @@ mod tests {
         assert_eq!(set.value_weights(b.probs()), set.value(&b));
         assert_eq!(
             VectorSetBound::new(2).value_weights(&[0.5, 0.5]),
+            f64::NEG_INFINITY
+        );
+    }
+
+    #[test]
+    fn value_support_matches_value_weights_bit_for_bit() {
+        let mut set = VectorSetBound::new(4);
+        set.add_vector(vec![-1.0, -3.0, -2.0, -0.5]).unwrap();
+        set.add_vector(vec![-3.0, -1.0, -0.25, -4.0]).unwrap();
+        let weights = [0.0, 0.25, 0.0, 0.75];
+        let support = [1, 3];
+        assert_eq!(
+            set.value_support(&weights, &support).to_bits(),
+            set.value_weights(&weights).to_bits()
+        );
+        // A leaf whose only support term is `1 · (-0.0)`: the support
+        // sum stays at `-0.0`, while the dense sum meets the off-support
+        // `0 · 1.0 = +0.0` and turns `+0.0`. The zero-sum fallback must
+        // return the dense `+0.0`.
+        let plane = [1.0, -0.0, -2.0];
+        let weights = [0.0, 1.0, 0.0];
+        let on_support: f64 = [1usize].iter().map(|&i| weights[i] * plane[i]).sum();
+        assert_eq!(on_support.to_bits(), (-0.0f64).to_bits());
+        let set = VectorSetBound::from_vector(plane.to_vec()).unwrap();
+        let dense = set.value_weights(&weights);
+        assert_eq!(dense.to_bits(), 0.0f64.to_bits(), "dense dot is +0.0");
+        assert_eq!(set.value_support(&weights, &[1]).to_bits(), dense.to_bits());
+        // The mirror case: every term is -0.0, and both sums agree.
+        let set = VectorSetBound::from_vector(vec![-1.0, -0.0, -2.0]).unwrap();
+        let dense = set.value_weights(&weights);
+        assert_eq!(dense.to_bits(), (-0.0f64).to_bits(), "dense dot is -0.0");
+        assert_eq!(set.value_support(&weights, &[1]).to_bits(), dense.to_bits());
+        assert_eq!(
+            VectorSetBound::new(2).value_support(&[0.5, 0.5], &[0, 1]),
             f64::NEG_INFINITY
         );
     }

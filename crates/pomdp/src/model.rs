@@ -66,6 +66,10 @@ pub struct Pomdp {
     /// Content hash over dynamics, rewards, and observations, computed
     /// once at build time (see [`Pomdp::fingerprint`]).
     fingerprint: u64,
+    /// Whether the tree kernel writes observation branches on their
+    /// rows' supports only (see [`Pomdp::sparse_branches`]); a function
+    /// of `observations_t`, chosen once at build time.
+    sparse_branches: bool,
 }
 
 impl Pomdp {
@@ -146,6 +150,17 @@ impl Pomdp {
     /// Panics if `action` is out of bounds.
     pub fn observation_transpose(&self, action: impl Into<ActionId>) -> &CsrMatrix {
         &self.observations_t[action.into().index()]
+    }
+
+    /// Whether the planning kernel uses its sparse branch layout on
+    /// this model: each observation branch is written, normalised,
+    /// keyed and scored on its observation row's stored states only,
+    /// instead of on all `|S|` entries. Chosen once at build time from
+    /// the observation matrices (see `branches_pay_sparse`), so
+    /// every decision on one model — and every cache epoch, which
+    /// names the model's fingerprint — uses one layout.
+    pub(crate) fn sparse_branches(&self) -> bool {
+        self.sparse_branches
     }
 
     /// Iterates over the observations `(o, q(o|s', a))` possible when
@@ -392,6 +407,7 @@ impl PomdpBuilder {
             })
             .collect();
         let fingerprint = fingerprint_pomdp(&self.mdp, self.n_observations, &observations);
+        let sparse_branches = branches_pay_sparse(n, self.n_observations, &observations_t);
         Ok(Pomdp {
             mdp: self.mdp.clone(),
             n_observations: self.n_observations,
@@ -399,8 +415,30 @@ impl PomdpBuilder {
             observations_t,
             observation_labels: self.observation_labels.clone(),
             fingerprint,
+            sparse_branches,
         })
     }
+}
+
+/// Minimum state count for the sparse branch layout: below it a dense
+/// branch is a few cache lines whose vectorized fill, divide and dot
+/// beat index gathers.
+const SPARSE_BRANCH_MIN_STATES: usize = 32;
+
+/// Maximum mean fill of the observation rows (`nnz(Q_aᵀ) / (|O|·|S|)`
+/// over all actions) for the sparse branch layout. The paper's EMN
+/// model and the 10²-state corpus sit at 0.5–0.9 (a dense layout
+/// wins there); cellfleet-mid is at 0.03 and region-large at 0.006.
+const SPARSE_BRANCH_MAX_FILL: f64 = 0.125;
+
+/// The per-model layout choice behind [`Pomdp::sparse_branches`]: a
+/// dense branch costs `O(|S|)` per observation, a sparse one
+/// `O(nnz(row))`, so the sparse layout pays once the rows are mostly
+/// empty.
+fn branches_pay_sparse(n_states: usize, n_observations: usize, obs_t: &[CsrMatrix]) -> bool {
+    let cells = (obs_t.len() * n_observations * n_states) as f64;
+    let stored: usize = obs_t.iter().map(CsrMatrix::nnz).sum();
+    n_states >= SPARSE_BRANCH_MIN_STATES && (stored as f64) <= SPARSE_BRANCH_MAX_FILL * cells
 }
 
 /// Folds one `u64` into an FNV-1a hash.

@@ -16,8 +16,10 @@
 //! posterior, and the EMN monitors are action-independent. The cache
 //! maps `(remaining depth, belief)` to the subtree value computed the
 //! first time that node was seen. Keys quantise the belief at machine
-//! precision — the exact `f64` bit patterns — so a hit can only occur
-//! on a bit-identical belief and caching never changes any value.
+//! precision — the exact `f64` bit patterns: all `|S|` words on the
+//! kernel's dense branch layout, the `(index, bits)` pairs of the
+//! non-zero entries on its sparse one — so a hit can only occur on a
+//! bit-identical belief and caching never changes any value.
 //! Each entry also stores the number of nodes the subtree expanded, and
 //! a hit re-adds that count, so `Decision::nodes_expanded` is invariant
 //! to both the cache and the distribution of work across parallel root
@@ -190,10 +192,8 @@ impl PlanWorkspace {
     pub fn checkout(&mut self, n: usize) -> Vec<f64> {
         match self.arena.pop() {
             Some(mut buf) => {
-                if buf.len() != n {
-                    buf.clear();
-                    buf.resize(n, 0.0);
-                }
+                buf.clear();
+                buf.resize(n, 0.0);
                 buf
             }
             None => {
@@ -226,13 +226,19 @@ impl PlanWorkspace {
         self.epoch.is_some()
     }
 
-    pub(crate) fn cache_get(&mut self, depth: usize, weights: &[f64]) -> Option<(f64, usize)> {
-        self.cache_get_keyed(depth, depth, weights)
+    pub(crate) fn cache_get(&mut self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize)> {
+        self.cache_get_keyed(depth, depth, key)
     }
 
-    pub(crate) fn cache_put(&mut self, depth: usize, weights: &[f64], value: f64, nodes: usize) {
+    pub(crate) fn cache_put(
+        &mut self,
+        depth: usize,
+        key: impl BeliefKey,
+        value: f64,
+        nodes: usize,
+    ) {
         self.cache
-            .put(depth, weights, value, nodes, self.decision_serial);
+            .put(depth, key, value, nodes, self.decision_serial);
     }
 
     /// Root per-action lookup: `(depth, action, belief)` keyed through
@@ -241,22 +247,22 @@ impl PlanWorkspace {
         &mut self,
         depth: usize,
         action: usize,
-        weights: &[f64],
+        key: impl BeliefKey,
     ) -> Option<(f64, usize)> {
-        self.cache_get_keyed(pack_root_key(depth, action), depth, weights)
+        self.cache_get_keyed(pack_root_key(depth, action), depth, key)
     }
 
     pub(crate) fn root_cache_put(
         &mut self,
         depth: usize,
         action: usize,
-        weights: &[f64],
+        key: impl BeliefKey,
         q: f64,
         nodes: usize,
     ) {
         self.cache.put(
             pack_root_key(depth, action),
-            weights,
+            key,
             q,
             nodes,
             self.decision_serial,
@@ -267,9 +273,9 @@ impl PlanWorkspace {
         &mut self,
         key_depth: usize,
         stat_depth: usize,
-        weights: &[f64],
+        key: impl BeliefKey,
     ) -> Option<(f64, usize)> {
-        match self.cache.get(key_depth, weights) {
+        match self.cache.get(key_depth, key) {
             Some((value, nodes, serial)) => {
                 self.stats.cache_hits += 1;
                 PlanStats::bump_depth(&mut self.stats.cache_hits_by_depth, stat_depth);
@@ -391,24 +397,135 @@ impl BbFrame {
     }
 }
 
-/// Open-addressing transposition table over `(depth, belief-bits)`
-/// keys. No `std::collections::HashMap`: the flat key arena and
+/// How a belief is written into the transposition cache: a word
+/// stream that is equal for two beliefs exactly when their bits are.
+/// One model uses one key format (its branch layout is fixed at build
+/// time), and a cache epoch names the model, so formats never mix.
+pub(crate) trait BeliefKey {
+    /// FNV-1a over the key words (the cache mixes in the depth).
+    fn hash(&self) -> u64;
+    /// Whether `stored` (the words of an earlier [`BeliefKey::store`])
+    /// is this key.
+    fn matches(&self, stored: &[u64]) -> bool;
+    /// Appends the key words.
+    fn store(&self, keys: &mut Vec<u64>);
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// The dense key: every entry's exact `f64` bit pattern, in order.
+impl BeliefKey for &[f64] {
+    fn hash(&self) -> u64 {
+        self.iter().fold(FNV_OFFSET, |h, w| fnv(h, w.to_bits()))
+    }
+
+    fn matches(&self, stored: &[u64]) -> bool {
+        stored.len() == self.len() && stored.iter().zip(*self).all(|(&k, &w)| k == w.to_bits())
+    }
+
+    fn store(&self, keys: &mut Vec<u64>) {
+        keys.extend(self.iter().map(|w| w.to_bits()));
+    }
+}
+
+/// The sparse key: `(index, bits)` of the non-zero entries among
+/// `support`, in ascending index order. Beliefs here never hold `-0.0`
+/// (they are non-negative), so skipping zeros loses nothing, and the
+/// key depends only on the belief, not on which support it was
+/// scanned over: a branch keyed over its observation row's columns and
+/// the same belief keyed over all states (a root) produce one key.
+pub(crate) struct SparseKey<'a, I> {
+    pub(crate) weights: &'a [f64],
+    pub(crate) support: I,
+}
+
+impl<I: Iterator<Item = usize> + Clone> SparseKey<'_, I> {
+    /// The non-zero entries as `(index, bits)` word pairs.
+    fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.support.clone().filter_map(move |i| {
+            let w = self.weights[i];
+            (w != 0.0).then_some((i as u64, w.to_bits()))
+        })
+    }
+}
+
+impl<I: Iterator<Item = usize> + Clone> BeliefKey for SparseKey<'_, I> {
+    fn hash(&self) -> u64 {
+        // One FNV step per entry, the index spread over the word by a
+        // Fibonacci multiplier; `matches` compares both words exactly.
+        self.pairs().fold(FNV_OFFSET, |h, (i, w)| {
+            fnv(h, w ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        })
+    }
+
+    fn matches(&self, stored: &[u64]) -> bool {
+        let mut words = stored.iter().copied();
+        self.pairs()
+            .all(|(i, w)| words.next() == Some(i) && words.next() == Some(w))
+            && words.next().is_none()
+    }
+
+    fn store(&self, keys: &mut Vec<u64>) {
+        for (i, w) in self.pairs() {
+            keys.push(i);
+            keys.push(w);
+        }
+    }
+}
+
+/// A key whose word hash is computed once and shared by several cache
+/// calls: a node's lookup and its store after a miss, or the root's
+/// lookups and stores for every action.
+pub(crate) struct Prehashed<K> {
+    key: K,
+    hash: u64,
+}
+
+impl<K: BeliefKey> Prehashed<K> {
+    pub(crate) fn new(key: K) -> Prehashed<K> {
+        let hash = key.hash();
+        Prehashed { key, hash }
+    }
+}
+
+impl<K: BeliefKey> BeliefKey for &Prehashed<K> {
+    fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    fn matches(&self, stored: &[u64]) -> bool {
+        self.key.matches(stored)
+    }
+
+    fn store(&self, keys: &mut Vec<u64>) {
+        self.key.store(keys);
+    }
+}
+
+/// Open-addressing transposition table over `(depth, belief key)`
+/// entries. No `std::collections::HashMap`: the flat key arena and
 /// retained-capacity `clear` keep steady-state decisions free of
 /// allocations and rehash noise.
 #[derive(Debug, Clone, Default)]
 struct BeliefCache {
     slots: Vec<Slot>,
-    /// Flat storage of the `f64::to_bits` key words, `key_len` per
-    /// entry (all beliefs of one model share a length).
+    /// Flat storage of the [`BeliefKey`] words, `Slot::len` per entry.
     keys: Vec<u64>,
     len: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    occupied: bool,
     hash: u64,
+    /// The entry's key depth, or [`VACANT`] for an empty slot.
     depth: u32,
+    /// Key words of the entry: `keys[start..start + len]`.
+    len: u32,
     start: usize,
     value: f64,
     nodes: u64,
@@ -417,71 +534,62 @@ struct Slot {
     serial: u64,
 }
 
+/// The `depth` of an empty slot. No key reaches it: node entries use
+/// the bare depth and root entries [`pack_root_key`], which stays below
+/// `u32::MAX` for every action and depth it accepts.
+const VACANT: u32 = u32::MAX;
+
 const EMPTY_SLOT: Slot = Slot {
-    occupied: false,
     hash: 0,
-    depth: 0,
+    depth: VACANT,
+    len: 0,
     start: 0,
     value: 0.0,
     nodes: 0,
     serial: 0,
 };
 
+impl Slot {
+    fn occupied(&self) -> bool {
+        self.depth != VACANT
+    }
+}
+
 /// Tags a root per-action entry's key so it can share the node-value
 /// table: bit 31 marks "root q-entry", bits 16..31 carry the action,
 /// bits 0..16 the depth. Interior node entries use the bare depth,
 /// which never reaches bit 31, so the two families cannot collide.
 fn pack_root_key(depth: usize, action: usize) -> usize {
-    debug_assert!(depth < (1 << 16), "tree depth exceeds root-key packing");
+    // The all-ones key is the empty-slot marker `VACANT`.
+    debug_assert!(depth < (1 << 16) - 1, "tree depth exceeds root-key packing");
     debug_assert!(action < (1 << 15), "action count exceeds root-key packing");
     (1 << 31) | (action << 16) | depth
-}
-
-/// FNV-1a over the depth and the belief's exact bit patterns.
-fn hash_key(depth: usize, weights: &[f64]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    h ^= depth as u64;
-    h = h.wrapping_mul(FNV_PRIME);
-    for &w in weights {
-        h ^= w.to_bits();
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl BeliefCache {
     fn clear(&mut self) {
         for slot in &mut self.slots {
-            slot.occupied = false;
+            slot.depth = VACANT;
         }
         self.keys.clear();
         self.len = 0;
     }
 
-    fn key_matches(&self, start: usize, weights: &[f64]) -> bool {
-        self.keys[start..start + weights.len()]
-            .iter()
-            .zip(weights)
-            .all(|(&k, &w)| k == w.to_bits())
-    }
-
-    fn get(&self, depth: usize, weights: &[f64]) -> Option<(f64, usize, u64)> {
+    fn get(&self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize, u64)> {
         if self.len == 0 {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let hash = hash_key(depth, weights);
+        let hash = fnv(key.hash(), depth as u64);
         let mut i = (hash as usize) & mask;
         loop {
             let slot = &self.slots[i];
-            if !slot.occupied {
+            if !slot.occupied() {
                 return None;
             }
             if slot.hash == hash
                 && slot.depth == depth as u32
-                && self.key_matches(slot.start, weights)
+                && key.matches(&self.keys[slot.start..slot.start + slot.len as usize])
             {
                 return Some((slot.value, slot.nodes as usize, slot.serial));
             }
@@ -489,19 +597,19 @@ impl BeliefCache {
         }
     }
 
-    fn put(&mut self, depth: usize, weights: &[f64], value: f64, nodes: usize, serial: u64) {
+    fn put(&mut self, depth: usize, key: impl BeliefKey, value: f64, nodes: usize, serial: u64) {
         if self.slots.is_empty() {
             self.slots = vec![EMPTY_SLOT; 64];
         } else if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
         let start = self.keys.len();
-        self.keys.extend(weights.iter().map(|w| w.to_bits()));
+        key.store(&mut self.keys);
         let slot = Slot {
-            occupied: true,
-            hash: hash_key(depth, weights),
+            hash: fnv(key.hash(), depth as u64),
             depth: depth as u32,
             start,
+            len: u32::try_from(self.keys.len() - start).expect("cache key fits u32 words"),
             value,
             nodes: nodes as u64,
             serial,
@@ -513,7 +621,7 @@ impl BeliefCache {
     fn insert_slot(&mut self, slot: Slot) {
         let mask = self.slots.len() - 1;
         let mut i = (slot.hash as usize) & mask;
-        while self.slots[i].occupied {
+        while self.slots[i].occupied() {
             i = (i + 1) & mask;
         }
         self.slots[i] = slot;
@@ -523,7 +631,7 @@ impl BeliefCache {
         let doubled = vec![EMPTY_SLOT; self.slots.len() * 2];
         let old = std::mem::replace(&mut self.slots, doubled);
         for slot in old {
-            if slot.occupied {
+            if slot.occupied() {
                 self.insert_slot(slot);
             }
         }
@@ -539,15 +647,15 @@ mod tests {
         let mut cache = BeliefCache::default();
         let a = [0.25, 0.75];
         let b = [0.25, 0.75 + 1e-16];
-        assert_eq!(cache.get(2, &a), None);
-        cache.put(2, &a, -1.5, 7, 1);
-        assert_eq!(cache.get(2, &a), Some((-1.5, 7, 1)));
-        assert_eq!(cache.get(1, &a), None, "depth is part of the key");
+        assert_eq!(cache.get(2, &a[..]), None);
+        cache.put(2, &a[..], -1.5, 7, 1);
+        assert_eq!(cache.get(2, &a[..]), Some((-1.5, 7, 1)));
+        assert_eq!(cache.get(1, &a[..]), None, "depth is part of the key");
         if b[1] != a[1] {
-            assert_eq!(cache.get(2, &b), None, "near-equal bits miss");
+            assert_eq!(cache.get(2, &b[..]), None, "near-equal bits miss");
         }
         cache.clear();
-        assert_eq!(cache.get(2, &a), None);
+        assert_eq!(cache.get(2, &a[..]), None);
         assert!(!cache.slots.is_empty(), "clear keeps capacity");
     }
 
@@ -555,15 +663,53 @@ mod tests {
     fn cache_survives_growth() {
         let mut cache = BeliefCache::default();
         for i in 0..500usize {
-            cache.put(1, &[i as f64, 1.0 - i as f64], -(i as f64), i, 3);
+            cache.put(1, &[i as f64, 1.0 - i as f64][..], -(i as f64), i, 3);
         }
         for i in 0..500usize {
             assert_eq!(
-                cache.get(1, &[i as f64, 1.0 - i as f64]),
+                cache.get(1, &[i as f64, 1.0 - i as f64][..]),
                 Some((-(i as f64), i, 3)),
                 "entry {i} lost in growth"
             );
         }
+    }
+
+    #[test]
+    fn sparse_keys_ignore_zeros_and_the_scanned_support() {
+        let mut cache = BeliefCache::default();
+        let belief = [0.0, 0.25, 0.0, 0.75, 0.0];
+        // A branch keyed over its row's support, with a stored zero.
+        let branch = SparseKey {
+            weights: &belief,
+            support: [1usize, 2, 3].iter().copied(),
+        };
+        // The same belief keyed over all states, as a root is.
+        let root = SparseKey {
+            weights: &belief,
+            support: 0..belief.len(),
+        };
+        assert_eq!(branch.hash(), root.hash(), "zeros do not enter the hash");
+        cache.put(1, branch, -3.0, 4, 1);
+        assert_eq!(cache.get(1, root), Some((-3.0, 4, 1)));
+        assert_eq!(cache.keys, vec![1, 0.25f64.to_bits(), 3, 0.75f64.to_bits()]);
+        // Same values at other indices, and one entry more or less, miss.
+        let moved = [0.25, 0.0, 0.0, 0.75, 0.0];
+        let moved = SparseKey {
+            weights: &moved,
+            support: 0..5,
+        };
+        assert_eq!(cache.get(1, moved), None);
+        let longer = [0.0, 0.25, 0.0, 0.75, 0.5];
+        let longer = SparseKey {
+            weights: &longer,
+            support: 0..5,
+        };
+        assert_eq!(cache.get(1, longer), None);
+        let shorter = SparseKey {
+            weights: &belief,
+            support: [1usize].iter().copied(),
+        };
+        assert_eq!(cache.get(1, shorter), None);
     }
 
     #[test]
@@ -577,14 +723,14 @@ mod tests {
         let weights = [0.125, 0.875];
         let mut ws = PlanWorkspace::new();
         ws.begin_epoch(epoch);
-        assert_eq!(ws.cache_get(1, &weights), None);
-        ws.cache_put(1, &weights, -2.0, 5);
-        assert_eq!(ws.cache_get(1, &weights), Some((-2.0, 5)));
+        assert_eq!(ws.cache_get(1, &weights[..]), None);
+        ws.cache_put(1, &weights[..], -2.0, 5);
+        assert_eq!(ws.cache_get(1, &weights[..]), Some((-2.0, 5)));
         assert_eq!(ws.stats().cross_decision_hits, 0, "same-decision hit");
         // Same epoch, next decision: the entry survives and the hit is
         // attributed to cross-decision reuse.
         ws.begin_epoch(epoch);
-        assert_eq!(ws.cache_get(1, &weights), Some((-2.0, 5)));
+        assert_eq!(ws.cache_get(1, &weights[..]), Some((-2.0, 5)));
         assert_eq!(ws.stats().cross_decision_hits, 1);
         assert_eq!(ws.stats().cache_hits, 2);
         assert_eq!(ws.stats().cache_hits_by_depth, vec![0, 2]);
@@ -594,11 +740,11 @@ mod tests {
             bound_generation: 23,
             ..epoch
         });
-        assert_eq!(ws.cache_get(1, &weights), None);
+        assert_eq!(ws.cache_get(1, &weights[..]), None);
         // Plain begin() always clears and never counts cross-decision.
-        ws.cache_put(1, &weights, -2.0, 5);
+        ws.cache_put(1, &weights[..], -2.0, 5);
         ws.begin();
-        assert_eq!(ws.cache_get(1, &weights), None);
+        assert_eq!(ws.cache_get(1, &weights[..]), None);
         ws.reset_stats();
         // Counters are zeroed in place; the per-depth buckets keep
         // their length (and capacity) so steady state stays alloc-free.
@@ -612,14 +758,18 @@ mod tests {
         // no collision with node entries at the same depth, and the
         // same epoch/serial discipline applies.
         ws.begin_epoch(epoch);
-        ws.cache_put(1, &weights, -2.0, 5);
-        assert_eq!(ws.root_cache_get(1, 0, &weights), None);
-        ws.root_cache_put(1, 0, &weights, -7.5, 3);
-        assert_eq!(ws.root_cache_get(1, 0, &weights), Some((-7.5, 3)));
-        assert_eq!(ws.root_cache_get(1, 1, &weights), None, "per-action keys");
-        assert_eq!(ws.cache_get(1, &weights), Some((-2.0, 5)));
+        ws.cache_put(1, &weights[..], -2.0, 5);
+        assert_eq!(ws.root_cache_get(1, 0, &weights[..]), None);
+        ws.root_cache_put(1, 0, &weights[..], -7.5, 3);
+        assert_eq!(ws.root_cache_get(1, 0, &weights[..]), Some((-7.5, 3)));
+        assert_eq!(
+            ws.root_cache_get(1, 1, &weights[..]),
+            None,
+            "per-action keys"
+        );
+        assert_eq!(ws.cache_get(1, &weights[..]), Some((-2.0, 5)));
         ws.begin_epoch(epoch);
-        assert_eq!(ws.root_cache_get(1, 0, &weights), Some((-7.5, 3)));
+        assert_eq!(ws.root_cache_get(1, 0, &weights[..]), Some((-7.5, 3)));
         assert!(ws.stats().cross_decision_hits >= 1);
     }
 
@@ -643,5 +793,24 @@ mod tests {
         let e = ws.checkout(3);
         assert_eq!(e.len(), 3);
         assert_eq!(ws.stats().buffers_allocated, 2);
+    }
+
+    #[test]
+    fn checkout_zeroes_a_released_dirty_buffer() {
+        let mut ws = PlanWorkspace::new();
+        let mut dirty = ws.checkout(4);
+        dirty.copy_from_slice(&[1.0, -0.0, f64::NAN, 2.5]);
+        ws.release(dirty);
+        let same_len = ws.checkout(4);
+        assert!(
+            same_len.iter().all(|v| v.to_bits() == 0),
+            "same-length checkout returned {same_len:?}"
+        );
+        let mut dirty = same_len;
+        dirty.fill(7.0);
+        ws.release(dirty);
+        let shorter = ws.checkout(2);
+        assert!(shorter.iter().all(|v| v.to_bits() == 0));
+        assert_eq!(ws.stats().buffers_allocated, 1, "the buffer was reused");
     }
 }

@@ -21,11 +21,22 @@
 //! scratch lives in a caller-provided [`PlanWorkspace`], so steady-state
 //! decisions allocate nothing; the pre-fusion implementation is kept
 //! verbatim in [`legacy`] as the equivalence/baseline reference.
+//!
+//! # Branch layouts
+//!
+//! The plain kernel runs on one of two private layouts, chosen once per
+//! model from its observation matrices. The dense layout holds each
+//! observation branch as a full `|S|` vector. The sparse layout, taken
+//! by models with mostly empty observation rows (the 10³–10⁴-state
+//! corpus), writes, normalises, keys and scores each branch on its
+//! observation row's stored states only, leaf bounds included through
+//! [`ValueBound::value_support`]. Both produce the same decisions,
+//! node counts and cache statistics bit for bit.
 
 use crate::bounds::ValueBound;
-use crate::plan::{BbEntry, CacheEpoch, PlanWorkspace};
+use crate::plan::{BbEntry, BeliefKey, CacheEpoch, PlanWorkspace, Prehashed, SparseKey};
 use crate::{Belief, Error, Pomdp};
-use bpr_linalg::dense;
+use bpr_linalg::{dense, CsrMatrix};
 use bpr_mdp::ActionId;
 use bpr_par::WorkPool;
 
@@ -117,8 +128,9 @@ pub fn expand_with_workspace(
         return Err(depth_zero_error());
     }
     ws.begin();
-    let kernel = Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff);
-    expand_root(&kernel, belief, depth, ws).expect("unbudgeted expansion never aborts");
+    Plain::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
+        .expand_root(belief, depth, ws)
+        .expect("unbudgeted expansion never aborts");
     Ok(())
 }
 
@@ -155,8 +167,9 @@ pub fn expand_with_workspace_epoch(
         return Err(depth_zero_error());
     }
     ws.begin_epoch(epoch);
-    let kernel = Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff);
-    expand_root(&kernel, belief, depth, ws).expect("unbudgeted expansion never aborts");
+    Plain::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
+        .expand_root(belief, depth, ws)
+        .expect("unbudgeted expansion never aborts");
     Ok(())
 }
 
@@ -165,10 +178,10 @@ pub fn expand_with_workspace_epoch(
 /// passes, opened the decision on `ws`). Writes the per-action values,
 /// the last-maximal argmax, and the node count into
 /// [`PlanWorkspace::decision`]; returns the nodes spent, or
-/// `Err(nodes)` when `kernel.budget` ran out, in which case the
+/// `Err(nodes)` when the budget ran out, in which case the
 /// workspace decision is partial and must not be read.
-fn expand_root(
-    kernel: &Kernel,
+fn expand_root<L: Layout>(
+    kernel: &Kernel<'_, L>,
     belief: &Belief,
     depth: usize,
     ws: &mut PlanWorkspace,
@@ -182,22 +195,25 @@ fn expand_root(
     // and node count the subtree would have produced, so the Decision
     // stays bit-identical. Without an epoch the cache is cleared per
     // decision and root entries could never hit, so skip the traffic;
-    // budgeted passes never touch the cache at all.
-    let cache_root = kernel.use_cache && ws.has_epoch();
-    for a in 0..kernel.pomdp.n_actions() {
-        if cache_root {
-            if let Some((q, sub)) = ws.root_cache_get(depth, a, belief.probs()) {
+    // budgeted passes never touch the cache at all. The root key is
+    // hashed once for all actions.
+    let probs = belief.probs();
+    let root = (kernel.plain.use_cache && ws.has_epoch())
+        .then(|| Prehashed::new(kernel.layout.root_key(probs)));
+    for a in 0..kernel.plain.pomdp.n_actions() {
+        if let Some(key) = &root {
+            if let Some((q, sub)) = ws.root_cache_get(depth, a, key) {
                 nodes += sub;
                 ws.push_q(q);
                 continue;
             }
         }
         let before = nodes;
-        let Some(q) = kernel.action_q(ws, belief.probs(), a, depth, &mut nodes) else {
+        let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
             return Err(nodes);
         };
-        if cache_root {
-            ws.root_cache_put(depth, a, belief.probs(), q, nodes - before);
+        if let Some(key) = &root {
+            ws.root_cache_put(depth, a, key, q, nodes - before);
         }
         ws.push_q(q);
     }
@@ -235,9 +251,8 @@ pub fn expand_par(
     }
     let results: Vec<(f64, usize)> =
         pool.map_indices_with(pomdp.n_actions(), PlanWorkspace::new, |ws, a| {
-            let kernel = Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff);
             let mut nodes = 0usize;
-            let q = kernel
+            let q = Plain::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
                 .action_q(ws, belief.probs(), a, depth, &mut nodes)
                 .expect("unbudgeted expansion never aborts");
             (q, nodes)
@@ -293,12 +308,12 @@ pub fn expand_budgeted(
     if depth == 0 {
         return Err(depth_zero_error());
     }
-    let kernel = Kernel {
+    let plain = Plain {
         use_cache: false,
         budget,
-        ..Kernel::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
+        ..Plain::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
     };
-    let (nodes_spent, completed) = match expand_root(&kernel, belief, depth, ws) {
+    let (nodes_spent, completed) = match plain.expand_root(belief, depth, ws) {
         Ok(nodes) => (nodes, true),
         Err(nodes) => (nodes, false),
     };
@@ -392,11 +407,13 @@ fn argmax_last(q_values: &[f64]) -> (usize, f64) {
         .expect("model has at least one action")
 }
 
-/// The plain (no upper bound) fused expansion engine. `budget` is
+/// The parameters of a plain (no upper bound) expansion. `budget` is
 /// `usize::MAX` for unbudgeted runs; `use_cache` is off for budgeted
 /// passes so abort points stay a function of the literal expansion
-/// order.
-struct Kernel<'a> {
+/// order. The two entry methods run the [`Kernel`] on the model's
+/// branch layout ([`Pomdp::sparse_branches`]).
+#[derive(Clone, Copy)]
+struct Plain<'a> {
     pomdp: &'a Pomdp,
     leaf: &'a dyn ValueBound,
     beta: f64,
@@ -405,15 +422,10 @@ struct Kernel<'a> {
     budget: usize,
 }
 
-impl<'a> Kernel<'a> {
+impl<'a> Plain<'a> {
     /// The cached, unbudgeted engine every plain expansion runs on.
-    fn unbudgeted(
-        pomdp: &'a Pomdp,
-        leaf: &'a dyn ValueBound,
-        beta: f64,
-        cutoff: f64,
-    ) -> Kernel<'a> {
-        Kernel {
+    fn unbudgeted(pomdp: &'a Pomdp, leaf: &'a dyn ValueBound, beta: f64, cutoff: f64) -> Plain<'a> {
+        Plain {
             pomdp,
             leaf,
             beta,
@@ -423,6 +435,191 @@ impl<'a> Kernel<'a> {
         }
     }
 
+    /// The kernel on `layout`.
+    fn on<L: Layout>(self, layout: L) -> Kernel<'a, L> {
+        Kernel {
+            plain: self,
+            layout,
+        }
+    }
+
+    /// [`expand_root`] on the model's layout.
+    fn expand_root(
+        self,
+        belief: &Belief,
+        depth: usize,
+        ws: &mut PlanWorkspace,
+    ) -> Result<usize, usize> {
+        if self.pomdp.sparse_branches() {
+            expand_root(&self.on(Sparse), belief, depth, ws)
+        } else {
+            expand_root(&self.on(Dense), belief, depth, ws)
+        }
+    }
+
+    /// [`Kernel::action_q`] on the model's layout.
+    fn action_q(
+        self,
+        ws: &mut PlanWorkspace,
+        belief: &[f64],
+        a: usize,
+        depth: usize,
+        nodes: &mut usize,
+    ) -> Option<f64> {
+        if self.pomdp.sparse_branches() {
+            self.on(Sparse).action_q(ws, belief, a, depth, nodes)
+        } else {
+            self.on(Dense).action_q(ws, belief, a, depth, nodes)
+        }
+    }
+}
+
+/// How the plain kernel holds one observation branch of a `(node,
+/// action)` pair in its `post` buffer. Both layouts produce the same
+/// bits, the same cache hits and the same node counts; they differ in
+/// what they touch per observation.
+trait Layout: Copy {
+    /// Writes the unnormalised branch `post[s] = q(o|s,a) · pred[s]`
+    /// into `post` and returns its mass `γ`, summed in ascending state
+    /// order, with the branch's `support` that the other methods take:
+    /// for [`Sparse`] the stored columns of row `o` of `Q_aᵀ` (the only
+    /// entries the branch can make non-zero; `post` is zero elsewhere
+    /// on entry and on return), for [`Dense`] nothing.
+    fn scale<'m>(
+        self,
+        obs_t: &'m CsrMatrix,
+        o: usize,
+        pred: &[f64],
+        post: &mut [f64],
+    ) -> (f64, &'m [usize]);
+    /// Divides the branch by its finite, non-zero mass `γ`.
+    fn normalize(self, post: &mut [f64], support: &[usize], gamma: f64);
+    /// The leaf bound at the normalised branch.
+    fn leaf(self, bound: &dyn ValueBound, post: &[f64], support: &[usize]) -> f64;
+    /// The transposition-cache key of a branch.
+    fn key<'k>(self, post: &'k [f64], support: &'k [usize]) -> impl BeliefKey + 'k;
+    /// The transposition-cache key of a root belief.
+    fn root_key(self, belief: &[f64]) -> impl BeliefKey + '_;
+    /// Restores `post` to all zeros after the branch.
+    fn clear(self, post: &mut [f64], support: &[usize]);
+}
+
+/// Every branch is a full `|S|` vector: the row scale zero-fills
+/// `post` and the normalisation, key and leaf bound read every entry.
+/// On models whose observation rows are mostly full (the paper's EMN,
+/// the 10²-state corpus) this is the vectorized fast path.
+#[derive(Clone, Copy)]
+struct Dense;
+
+impl Layout for Dense {
+    fn scale<'m>(
+        self,
+        obs_t: &'m CsrMatrix,
+        o: usize,
+        pred: &[f64],
+        post: &mut [f64],
+    ) -> (f64, &'m [usize]) {
+        // Beliefs and their unnormalised posteriors are non-negative
+        // with no -0.0, which is exactly the `*_unchecked` contract
+        // (debug-asserted there); the dense-row fast path stays
+        // bit-identical to the sparse loop (see bpr_linalg docs).
+        (obs_t.row_scaled_into_unchecked(o, pred, post), &[])
+    }
+
+    fn normalize(self, post: &mut [f64], _support: &[usize], gamma: f64) {
+        for v in post.iter_mut() {
+            *v /= gamma;
+        }
+    }
+
+    fn leaf(self, bound: &dyn ValueBound, post: &[f64], _support: &[usize]) -> f64 {
+        bound.value_weights(post)
+    }
+
+    fn key<'k>(self, post: &'k [f64], _support: &'k [usize]) -> impl BeliefKey + 'k {
+        post
+    }
+
+    fn root_key(self, belief: &[f64]) -> impl BeliefKey + '_ {
+        belief
+    }
+
+    fn clear(self, _post: &mut [f64], _support: &[usize]) {
+        // The next row scale zero-fills the whole buffer.
+    }
+}
+
+/// A branch is written, normalised, keyed and scored on its
+/// observation row's stored columns only; everything off the support
+/// stays `+0.0` from the zeroed checkout, and [`Layout::clear`]
+/// re-zeroes the support afterwards, so no per-observation step is
+/// `O(|S|)`. Bit-identity with [`Dense`]: `γ` is the same products
+/// summed in the same ascending column order; `0 / γ` is `+0.0`
+/// either way; the key skips zeros, which a non-negative belief holds
+/// only as `+0.0`; the leaf uses [`ValueBound::value_support`].
+#[derive(Clone, Copy)]
+struct Sparse;
+
+impl Layout for Sparse {
+    fn scale<'m>(
+        self,
+        obs_t: &'m CsrMatrix,
+        o: usize,
+        pred: &[f64],
+        post: &mut [f64],
+    ) -> (f64, &'m [usize]) {
+        debug_assert!(
+            post.iter().all(|v| v.to_bits() == 0),
+            "sparse branch needs a zeroed buffer"
+        );
+        let (cols, q) = obs_t.row_slice(o);
+        let mut gamma = 0.0;
+        for (&c, &v) in cols.iter().zip(q) {
+            let t = v * pred[c];
+            post[c] = t;
+            gamma += t;
+        }
+        (gamma, cols)
+    }
+
+    fn normalize(self, post: &mut [f64], support: &[usize], gamma: f64) {
+        for &c in support {
+            post[c] /= gamma;
+        }
+    }
+
+    fn leaf(self, bound: &dyn ValueBound, post: &[f64], support: &[usize]) -> f64 {
+        bound.value_support(post, support)
+    }
+
+    fn key<'k>(self, post: &'k [f64], support: &'k [usize]) -> impl BeliefKey + 'k {
+        SparseKey {
+            weights: post,
+            support: support.iter().copied(),
+        }
+    }
+
+    fn root_key(self, belief: &[f64]) -> impl BeliefKey + '_ {
+        SparseKey {
+            weights: belief,
+            support: 0..belief.len(),
+        }
+    }
+
+    fn clear(self, post: &mut [f64], support: &[usize]) {
+        for &c in support {
+            post[c] = 0.0;
+        }
+    }
+}
+
+/// The plain fused expansion engine on one branch layout.
+struct Kernel<'a, L> {
+    plain: Plain<'a>,
+    layout: L,
+}
+
+impl<L: Layout> Kernel<'_, L> {
     /// `Q(belief, a)` at `depth` remaining action layers; `None` if the
     /// node budget ran out mid-subtree.
     fn action_q(
@@ -433,38 +630,34 @@ impl<'a> Kernel<'a> {
         depth: usize,
         nodes: &mut usize,
     ) -> Option<f64> {
+        let p = &self.plain;
         let action = ActionId::new(a);
-        let mut q = dense::dot(belief, self.pomdp.mdp().reward_vector(action));
-        let n = self.pomdp.n_states();
+        let mut q = dense::dot(belief, p.pomdp.mdp().reward_vector(action));
+        let n = p.pomdp.n_states();
         let mut pred = ws.checkout(n);
-        // Beliefs and their unnormalised posteriors are non-negative
-        // with no -0.0, which is exactly the `*_unchecked` contract
-        // (debug-asserted there); the dense-row fast path stays
-        // bit-identical to the sparse loop (see bpr_linalg docs).
-        self.pomdp
+        p.pomdp
             .mdp()
             .transition_matrix(action)
             .matvec_transpose_into_unchecked(belief, &mut pred);
-        let obs_t = self.pomdp.observation_transpose(action);
+        let obs_t = p.pomdp.observation_transpose(action);
         let mut post = ws.checkout(n);
         let mut aborted = false;
-        for o in 0..self.pomdp.n_observations() {
-            let gamma = obs_t.row_scaled_into_unchecked(o, &pred, &mut post);
-            if gamma > self.cutoff && gamma > 0.0 {
+        for o in 0..p.pomdp.n_observations() {
+            let (gamma, support) = self.layout.scale(obs_t, o, &pred, &mut post);
+            if gamma > p.cutoff && gamma > 0.0 {
                 if gamma.is_finite() {
                     // normalize_l1's guard: division only for a finite,
                     // non-zero mass (non-zero is established above).
-                    for v in post.iter_mut() {
-                        *v /= gamma;
-                    }
+                    self.layout.normalize(&mut post, support, gamma);
                 }
-                match self.node_value(ws, &post, depth - 1, nodes) {
-                    Some(v) => q += self.beta * gamma * v,
-                    None => {
-                        aborted = true;
-                        break;
-                    }
+                match self.node_value(ws, &post, support, depth - 1, nodes) {
+                    Some(v) => q += p.beta * gamma * v,
+                    None => aborted = true,
                 }
+            }
+            self.layout.clear(&mut post, support);
+            if aborted {
+                break;
             }
         }
         ws.release(post);
@@ -477,37 +670,43 @@ impl<'a> Kernel<'a> {
     }
 
     /// `max_a Q(belief, a)` at `depth` remaining layers, or the leaf
-    /// bound at depth 0.
+    /// bound at depth 0. `belief` is a normalised branch on `support`.
     fn node_value(
         &self,
         ws: &mut PlanWorkspace,
         belief: &[f64],
+        support: &[usize],
         depth: usize,
         nodes: &mut usize,
     ) -> Option<f64> {
+        let p = &self.plain;
         *nodes += 1;
-        if *nodes > self.budget {
+        if *nodes > p.budget {
             return None;
         }
-        if self.use_cache {
-            if let Some((value, sub)) = ws.cache_get(depth, belief) {
+        // Hashed once for the lookup and, on a miss, the store.
+        let key = p
+            .use_cache
+            .then(|| Prehashed::new(self.layout.key(belief, support)));
+        if let Some(key) = &key {
+            if let Some((value, sub)) = ws.cache_get(depth, key) {
                 *nodes += sub;
                 return Some(value);
             }
         }
         let before = *nodes;
         let value = if depth == 0 {
-            self.leaf.value_weights(belief)
+            self.layout.leaf(p.leaf, belief, support)
         } else {
             let mut best = f64::NEG_INFINITY;
-            for a in 0..self.pomdp.n_actions() {
+            for a in 0..p.pomdp.n_actions() {
                 let q = self.action_q(ws, belief, a, depth, nodes)?;
                 best = best.max(q);
             }
             best
         };
-        if self.use_cache {
-            ws.cache_put(depth, belief, value, *nodes - before);
+        if let Some(key) = &key {
+            ws.cache_put(depth, key, value, *nodes - before);
         }
         Some(value)
     }
@@ -853,7 +1052,7 @@ type Successors = Vec<(f64, Belief)>;
 mod tests {
     use super::*;
     use crate::bounds::ra::tests::two_server_notified;
-    use crate::bounds::{ra_bound, ConstantBound};
+    use crate::bounds::{ra_bound, ConstantBound, VectorSetBound};
     use bpr_mdp::chain::SolveOpts;
 
     fn bb_decision(
@@ -1144,6 +1343,100 @@ mod tests {
         // Restart actions collapse onto identical posteriors, so a
         // depth-3 tree revisits nodes.
         assert!(ws.stats().cache_hits > 0, "stats: {:?}", ws.stats());
+    }
+
+    /// A 40-state model whose observation rows are mostly empty: every
+    /// state emits at most two of 24 observations, so the model takes
+    /// the sparse branch layout.
+    fn sparse_rows_model() -> Pomdp {
+        use crate::PomdpBuilder;
+        use bpr_mdp::MdpBuilder;
+        let (n, na, no) = (40, 3, 24);
+        let mut mb = MdpBuilder::new(n, na);
+        for a in 0..na {
+            for s in 0..n {
+                mb.transition(s, a, s, 0.5);
+                mb.transition(s, a, (s + 1 + a) % n, 0.5);
+                mb.reward(s, a, -((s % 7) as f64) - a as f64);
+            }
+        }
+        let mut pb = PomdpBuilder::new(mb.build().unwrap(), no);
+        for a in 0..na {
+            for s in 0..n {
+                let (o1, o2) = ((s * 5 + a) % no, (s * 11 + 3) % no);
+                if o1 == o2 {
+                    pb.observation(s, a, o1, 1.0);
+                } else {
+                    pb.observation(s, a, o1, 0.75);
+                    pb.observation(s, a, o2, 0.25);
+                }
+            }
+        }
+        pb.build().unwrap()
+    }
+
+    fn decision_bits(d: &Decision) -> (usize, u64, Vec<u64>, usize) {
+        let q = d.q_values.iter().map(|q| q.to_bits()).collect();
+        (d.action.index(), d.value.to_bits(), q, d.nodes_expanded)
+    }
+
+    #[test]
+    fn both_layouts_agree_bit_for_bit_on_a_sparse_model() {
+        let p = sparse_rows_model();
+        assert!(p.sparse_branches(), "sparse rows take the sparse layout");
+        assert!(!two_server_notified().sparse_branches());
+        let n = p.n_states();
+        // A flat plane, a sloped one, and one that is ±0 on states 0-1
+        // (like the termination plane at the null state): leaves
+        // concentrated there sum to zero and take the dense fallback.
+        let mut bound = VectorSetBound::from_vector(vec![-50.0; n]).unwrap();
+        bound
+            .add_vector((0..n).map(|s| -10.0 - s as f64).collect())
+            .unwrap();
+        let mut plane = vec![-60.0; n];
+        plane[0] = 0.0;
+        plane[1] = -0.0;
+        bound.add_vector(plane).unwrap();
+        let epoch = CacheEpoch {
+            model_fingerprint: p.fingerprint(),
+            bound_generation: bound.generation(),
+            beta_bits: 1.0f64.to_bits(),
+            cutoff_bits: 0.0f64.to_bits(),
+        };
+        let mut sparse_probs = vec![0.0; n];
+        sparse_probs[3] = 0.5;
+        sparse_probs[17] = 0.25;
+        sparse_probs[30] = 0.25;
+        let beliefs = [
+            Belief::uniform(n),
+            Belief::point(n, 0.into()),
+            Belief::from_probs(sparse_probs).unwrap(),
+        ];
+        for b in &beliefs {
+            for depth in 1..=2 {
+                let plain = Plain::unbudgeted(&p, &bound, 1.0, 0.0);
+                let mut dense_ws = PlanWorkspace::new();
+                let mut sparse_ws = PlanWorkspace::new();
+                // The second round answers from cross-decision entries.
+                for _ in 0..2 {
+                    dense_ws.begin_epoch(epoch);
+                    sparse_ws.begin_epoch(epoch);
+                    let layouts = (
+                        expand_root(&plain.on(Dense), b, depth, &mut dense_ws),
+                        expand_root(&plain.on(Sparse), b, depth, &mut sparse_ws),
+                    );
+                    assert_eq!(layouts.0, layouts.1);
+                    assert_eq!(
+                        decision_bits(dense_ws.decision()),
+                        decision_bits(sparse_ws.decision()),
+                        "depth {depth}"
+                    );
+                    assert_eq!(dense_ws.stats(), sparse_ws.stats(), "depth {depth}");
+                }
+                let old = legacy::expand_with_cutoff(&p, b, depth, &bound, 1.0, 0.0).unwrap();
+                assert_eq!(decision_bits(&old), decision_bits(sparse_ws.decision()));
+            }
+        }
     }
 
     #[test]

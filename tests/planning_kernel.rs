@@ -10,12 +10,20 @@
 //! generated POMDPs (stochastic transitions, sparse noisy observation
 //! channels, beliefs with zero entries) through both paths and demand
 //! exact equality.
+//!
+//! Models with at least 32 states whose observation rows are mostly
+//! empty (mean fill at most 1/8) run the kernel's sparse branch layout,
+//! which touches only each observation row's stored states; the
+//! `sparse_*` properties and the corpus test hold that layout to the
+//! same bit-identity.
 
 use bpr_core::anytime_expand_with_workspace;
-use bpr_mdp::MdpBuilder;
+use bpr_mdp::chain::SolveOpts;
+use bpr_mdp::{ActionId, MdpBuilder};
 use bpr_par::WorkPool;
-use bpr_pomdp::bounds::{ConstantBound, ValueBound, VectorSetBound};
-use bpr_pomdp::{tree, Belief, PlanWorkspace, Pomdp, PomdpBuilder};
+use bpr_pomdp::bounds::{ra_bound, ConstantBound, ValueBound, VectorSetBound};
+use bpr_pomdp::tree::Decision;
+use bpr_pomdp::{tree, Belief, CacheEpoch, PlanWorkspace, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,8 +124,140 @@ fn random_lower(pomdp: &Pomdp, seed: u64) -> VectorSetBound {
     bound
 }
 
+/// A random model that takes the sparse branch layout: 32–44 states,
+/// 16–20 observations, and every state emitting at most two of them.
+fn arb_sparse_pomdp() -> impl Strategy<Value = RandomPomdp> {
+    (32usize..=44, 1usize..=3, 16usize..=20, 0u64..1 << 32).prop_map(
+        |(n_states, n_actions, n_obs, seed)| RandomPomdp {
+            n_states,
+            n_actions,
+            n_obs,
+            seed,
+        },
+    )
+}
+
+fn build_sparse(spec: &RandomPomdp) -> Pomdp {
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut mb = MdpBuilder::new(spec.n_states, spec.n_actions);
+    for a in 0..spec.n_actions {
+        for s in 0..spec.n_states {
+            let row = random_row(&mut rng, spec.n_states, 0.08);
+            for (s2, &p) in row.iter().enumerate() {
+                if p > 0.0 {
+                    mb.transition(s, a, s2, p);
+                }
+            }
+            mb.reward(s, a, -rng.gen::<f64>() * 3.0);
+        }
+    }
+    let mut pb = PomdpBuilder::new(mb.build().expect("random MDP builds"), spec.n_obs);
+    for a in 0..spec.n_actions {
+        for s2 in 0..spec.n_states {
+            let first = rng.gen_range(0..spec.n_obs);
+            let second = rng.gen_range(0..spec.n_obs);
+            if first == second {
+                pb.observation(s2, a, first, 1.0);
+            } else {
+                let q = rng.gen::<f64>() * 0.9 + 0.05;
+                pb.observation(s2, a, first, q);
+                pb.observation(s2, a, second, 1.0 - q);
+            }
+        }
+    }
+    let pomdp = pb.build().expect("random POMDP builds");
+    assert!(takes_sparse_layout(&pomdp), "generated model is too dense");
+    pomdp
+}
+
+/// The kernel's per-model layout rule, restated from the public
+/// matrices: at least 32 states and `nnz(Q_aᵀ)` summed over actions at
+/// most 1/8 of `|A|·|O|·|S|`.
+fn takes_sparse_layout(pomdp: &Pomdp) -> bool {
+    let stored: usize = (0..pomdp.n_actions())
+        .map(|a| pomdp.observation_transpose(ActionId::new(a)).nnz())
+        .sum();
+    let cells = pomdp.n_actions() * pomdp.n_observations() * pomdp.n_states();
+    pomdp.n_states() >= 32 && stored * 8 <= cells
+}
+
+/// [`random_lower`] plus a plane that is `+0.0` on state 0 and `-0.0`
+/// on state 1, like the termination plane `r(·, a_T)` at the null
+/// state: leaves concentrated there have an all-zero support sum.
+fn random_lower_with_zero_plane(pomdp: &Pomdp, seed: u64) -> VectorSetBound {
+    let mut bound = random_lower(pomdp, seed);
+    let mut plane = vec![-60.0; pomdp.n_states()];
+    plane[0] = 0.0;
+    plane[1] = -0.0;
+    bound.add_vector(plane).expect("same dimension");
+    bound
+}
+
+fn decision_bits(d: &Decision) -> (usize, u64, Vec<u64>, usize) {
+    let q = d.q_values.iter().map(|q| q.to_bits()).collect();
+    (d.action.index(), d.value.to_bits(), q, d.nodes_expanded)
+}
+
+/// Every plain entry point against the legacy decision, bit for bit:
+/// the workspace pass, two epoch passes (the second replays
+/// cross-decision entries), an exact-budget pass (and its one-short
+/// abort), and root-parallel expansion at widths 1 and 2.
+fn assert_entry_points_match_legacy(
+    pomdp: &Pomdp,
+    belief: &Belief,
+    depth: usize,
+    leaf: &VectorSetBound,
+    cutoff: f64,
+) {
+    let old = tree::legacy::expand_with_cutoff(pomdp, belief, depth, leaf, 1.0, cutoff)
+        .expect("legacy expands");
+    let want = decision_bits(&old);
+    let mut ws = PlanWorkspace::new();
+    tree::expand_with_workspace(pomdp, belief, depth, leaf, 1.0, cutoff, &mut ws)
+        .expect("workspace pass expands");
+    assert_eq!(decision_bits(ws.decision()), want, "workspace pass");
+    let epoch = CacheEpoch {
+        model_fingerprint: pomdp.fingerprint(),
+        bound_generation: leaf.generation(),
+        beta_bits: 1.0f64.to_bits(),
+        cutoff_bits: cutoff.to_bits(),
+    };
+    for round in 0..2 {
+        tree::expand_with_workspace_epoch(pomdp, belief, depth, leaf, 1.0, cutoff, epoch, &mut ws)
+            .expect("epoch pass expands");
+        assert_eq!(decision_bits(ws.decision()), want, "epoch pass {round}");
+    }
+    let nodes = old.nodes_expanded;
+    let pass = tree::expand_budgeted(pomdp, belief, depth, leaf, 1.0, cutoff, nodes, &mut ws)
+        .expect("budgeted pass expands");
+    assert!(pass.completed && pass.nodes_spent == nodes);
+    assert_eq!(decision_bits(ws.decision()), want, "budgeted pass");
+    let short = tree::expand_budgeted(pomdp, belief, depth, leaf, 1.0, cutoff, nodes - 1, &mut ws)
+        .expect("budgeted pass expands");
+    assert!(!short.completed);
+    for width in [1usize, 2] {
+        let pool = WorkPool::new(width).expect("positive width");
+        let parallel = tree::expand_par(pomdp, belief, depth, leaf, 1.0, cutoff, &pool)
+            .expect("parallel expands");
+        assert_eq!(decision_bits(&parallel), want, "parallel width {width}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn sparse_layout_matches_legacy_on_every_entry_point(
+        spec in arb_sparse_pomdp(),
+        depth in 1usize..=2,
+        cutoff in prop_oneof![Just(0.0), 0.0f64..0.1],
+    ) {
+        let pomdp = build_sparse(&spec);
+        let lower = random_lower_with_zero_plane(&pomdp, spec.seed);
+        for belief in probe_beliefs(&pomdp, spec.seed) {
+            assert_entry_points_match_legacy(&pomdp, &belief, depth, &lower, cutoff);
+        }
+    }
 
     #[test]
     fn fused_expansion_matches_legacy_decisions(
@@ -280,6 +420,59 @@ fn workspace_reuse_matches_fresh_workspaces_across_models() {
             let fresh = tree::expand_with_cutoff(&pomdp, &belief, depth, &lower, 1.0, 0.0)
                 .expect("fresh workspace expands");
             assert_eq!(ws.decision(), &fresh, "seed {seed} depth {depth}");
+        }
+    }
+}
+
+/// Beliefs an episode visits on a corpus model: the uniform belief,
+/// the null point belief, and the likeliest posteriors after one step
+/// from each (the null one concentrated on the null state).
+fn visited_beliefs(pomdp: &Pomdp, null: usize) -> Vec<Belief> {
+    let n = pomdp.n_states();
+    let mut out = vec![Belief::uniform(n), Belief::point(n, null.into())];
+    for start in out.clone() {
+        let mut next = start.successors(pomdp, ActionId::new(0), 0.0);
+        next.sort_by(|x, y| y.1.total_cmp(&x.1));
+        out.extend(next.into_iter().take(2).map(|(_, _, b)| b));
+    }
+    out
+}
+
+#[test]
+fn corpus_visited_beliefs_match_legacy_on_both_layouts() {
+    let registry = bpr::scenario::builtin();
+    for (name, sparse, depth, cutoff) in [
+        ("web3tier-small", false, 2, 1e-3),
+        ("cellfleet-mid", true, 1, 1e-3),
+        ("cellfleet-mid", true, 2, 0.05),
+    ] {
+        let scenario = registry.get(name).expect("corpus scenario");
+        let model = scenario
+            .build()
+            .expect("scenario builds")
+            .without_notification(scenario.operator_response_time())
+            .expect("transform succeeds");
+        let pomdp = model.pomdp();
+        assert_eq!(takes_sparse_layout(pomdp), sparse, "{name} layout");
+        // The controllers' leaf bound: the RA-Bound plus the
+        // termination plane `r(·, a_T)`.
+        let mut leaf = ra_bound(pomdp, &SolveOpts::default()).expect("RA-Bound exists");
+        let plane = (0..pomdp.n_states())
+            .map(|s| pomdp.mdp().reward(s, model.terminate_action()))
+            .collect();
+        leaf.add_vector(plane).expect("same dimension");
+        let null = model.null_states()[0].index();
+        // A leaf concentrated on the null state scores exactly zero, so
+        // its support sums are zero and take the dense fallback.
+        let at_null = Belief::point(pomdp.n_states(), null.into());
+        assert_eq!(leaf.value_weights(at_null.probs()), 0.0, "{name}");
+        assert_eq!(
+            leaf.value_support(at_null.probs(), &[null]).to_bits(),
+            leaf.value_weights(at_null.probs()).to_bits(),
+            "{name}"
+        );
+        for belief in visited_beliefs(pomdp, null) {
+            assert_entry_points_match_legacy(pomdp, &belief, depth, &leaf, cutoff);
         }
     }
 }
