@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Smoke outputs (benchmark JSONs, the modelcheck manifest, snapshots)
+# go here, so a run never overwrites the committed artifacts.
+out=target/ci
+mkdir -p "$out"
+
 echo "==> build (release)"
 cargo build --release
 
@@ -27,24 +32,27 @@ cargo run -p bpr-bench --bin robustness --release -- --episodes 10
 
 echo "==> determinism smoke (scaling at 1,2 threads; fails on divergence)"
 cargo run -p bpr-bench --bin scaling --release -- \
-  --episodes 12 --bootstrap-iters 6 --batch 3 --max-steps 200 --threads 1,2
+  --episodes 12 --bootstrap-iters 6 --batch 3 --max-steps 200 --threads 1,2 \
+  --out "$out/BENCH_scaling.json"
 
 echo "==> kill-and-resume smoke (fails on resume divergence; keeps snapshot)"
 cargo run -p bpr-bench --bin kill_resume --release -- \
-  --episodes 20 --every 3 --bootstrap-iters 8 --batch 4 --max-steps 200 --threads 1,2
+  --episodes 20 --every 3 --bootstrap-iters 8 --batch 4 --max-steps 200 --threads 1,2 \
+  --out "$out/BENCH_kill_resume.json" --snapshot "$out/kill_resume.snapshot"
 
-echo "==> planning-throughput smoke (fails on fused/parallel divergence or steady-state allocations)"
+echo "==> planning-throughput smoke (fails on fused/parallel/branch-and-bound divergence or steady-state allocations)"
 cargo run -p bpr-bench --bin planning --release -- \
-  --decisions 8 --depth 2 --threads 1,2,4
+  --decisions 8 --depth 2 --threads 1,2,4 \
+  --out "$out/BENCH_planning_emn.json"
 
-echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, on divergence, or on steady-state allocations; cache replay is reported, not gated)"
+echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, on divergence -- branch-and-bound on the sparse layout included -- or on steady-state allocations; cache replay is reported, not gated)"
 cargo run -p bpr-bench --bin planning --release -- \
   --scenario cellfleet-mid --decisions 5 --depth 1 --threads 1,2 \
-  --min-speedup 1.5
+  --min-speedup 1.5 --out "$out/BENCH_planning_cellfleet-mid.json"
 
 echo "==> modelcheck (full-corpus lint gate: paper models + generated 10^2-10^4 corpus; fails on errors or unexpected warnings)"
 cargo run -p bpr-bench --bin modelcheck --release -- \
-  --quiet --out MODELCHECK.json --manifest MODELCHECK_manifest.json
+  --quiet --out MODELCHECK.json --manifest "$out/MODELCHECK_manifest.json"
 
 echo "==> lint corpus unchanged (the regenerated MODELCHECK.json must equal the committed one)"
 git diff --exit-code -- MODELCHECK.json
@@ -59,7 +67,7 @@ git diff --exit-code -- CERTIFY.json
 echo "==> serve chaos-soak smoke (bursty load + fault injection + forced kill/resume, plus a loopback-socket network-chaos soak on web3tier-small; fails on incident loss, divergence, or transport-accounting violations)"
 cargo run -p bpr-bench --bin serve --release -- \
   --ticks 120 --kill-round 25 --net-scenarios web3tier-small --net-ticks 48 \
-  --out BENCH_serve.json --snapshot serve.snapshot
+  --out "$out/BENCH_serve.json" --snapshot "$out/serve.snapshot"
 
 # Note: `command -v cargo-miri` is a false positive under rustup (the
 # proxy shim exists even when the component is absent) — ask rustup.

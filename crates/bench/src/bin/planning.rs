@@ -6,10 +6,11 @@
 //! path under one cache epoch (cache replay: the benchmark repeats one
 //! belief, so after warm-up every decision is answered from
 //! cross-decision cache entries and measures the cache, not the
-//! kernel), and root-parallel expansion at several widths — all in the
+//! kernel), branch-and-bound on the quotient with a QMDP upper bound
+//! (cold), and root-parallel expansion at several widths — all in the
 //! same run, so the reported speedups compare like with like.
 //!
-//! Five properties gate the run (exit nonzero on violation):
+//! Six properties gate the run (exit nonzero on violation):
 //!
 //! 1. the fused decision on the lumped quotient is **value-identical**
 //!    to the legacy decision on the full model — bit-identical when the
@@ -18,9 +19,12 @@
 //! 2. cache-replay decisions are bit-identical to cold;
 //! 3. root-parallel decisions are bit-identical to sequential at every
 //!    requested width;
-//! 4. steady-state fused decisions perform **zero heap allocations**
-//!    (counted by a tallying global allocator in this binary only);
-//! 5. the cold speedup over legacy is at least `--min-speedup`.
+//! 4. steady-state fused decisions, branch-and-bound included, perform
+//!    **zero heap allocations** (counted by a tallying global allocator
+//!    in this binary only);
+//! 5. the cold speedup over legacy is at least `--min-speedup`;
+//! 6. the branch-and-bound decision on the quotient is bit-identical to
+//!    the legacy branch-and-bound on the quotient.
 //!
 //! Results land in `BENCH_planning_<scenario>.json`.
 //!
@@ -37,8 +41,9 @@
 
 use bpr_bench::{flag, list_flag, scenario_flag};
 use bpr_mdp::chain::SolveOpts;
+use bpr_mdp::value_iteration::Discount;
 use bpr_par::WorkPool;
-use bpr_pomdp::bounds::ra_bound;
+use bpr_pomdp::bounds::{qmdp_bound, ra_bound};
 use bpr_pomdp::tree::Decision;
 use bpr_pomdp::{tree, Belief, CacheEpoch, PlanWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -288,10 +293,53 @@ fn main() {
         stats.cache_misses,
         stats.cross_decision_hits
     );
-    if cold_allocs != 0 || steady_allocs != 0 {
+
+    // --- Branch-and-bound on the quotient with a QMDP upper bound, cold
+    // (cache cleared per decision), gated bit-identical to the legacy
+    // branch-and-bound on the same model.
+    let upper = qmdp_bound(qpomdp, Discount::Undiscounted).expect("quotient QMDP bound exists");
+    let bb_ref = tree::legacy::expand_branch_and_bound(
+        qpomdp, &qbelief, depth, &qbound, &upper, 1.0, cutoff,
+    )
+    .expect("legacy branch-and-bound succeeds");
+    for _ in 0..2 {
+        tree::expand_branch_and_bound_with_workspace(
+            qpomdp, &qbelief, depth, &qbound, &upper, 1.0, cutoff, &mut ws,
+        )
+        .expect("branch-and-bound succeeds");
+    }
+    if ws.decision() != &bb_ref {
         eprintln!(
-            "ALLOCATION GATE: {cold_allocs} cold + {steady_allocs} cache-replay heap allocations in \
-             {decisions} steady-state fused decisions each (expected 0)"
+            "DIVERGENCE: branch-and-bound decision differs from legacy branch-and-bound\n  \
+             legacy: {bb_ref:?}\n  fused:  {:?}",
+            ws.decision()
+        );
+        std::process::exit(1);
+    }
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    let mut bb_nodes = 0usize;
+    for _ in 0..decisions {
+        tree::expand_branch_and_bound_with_workspace(
+            qpomdp, &qbelief, depth, &qbound, &upper, 1.0, cutoff, &mut ws,
+        )
+        .expect("branch-and-bound succeeds");
+        bb_nodes += ws.decision().nodes_expanded;
+    }
+    let bb_wall = start.elapsed().as_secs_f64();
+    let bb_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let bb = rates(decisions, bb_nodes, bb_wall);
+    println!(
+        "  branch-and-bound (cold): {:.1} decisions/sec, {:.0} nodes/sec, {} allocations over {} \
+         decisions (bit-identical to legacy branch-and-bound)",
+        bb.decisions_per_sec, bb.nodes_per_sec, bb_allocs, decisions
+    );
+
+    if cold_allocs != 0 || steady_allocs != 0 || bb_allocs != 0 {
+        eprintln!(
+            "ALLOCATION GATE: {cold_allocs} cold + {steady_allocs} cache-replay + {bb_allocs} \
+             branch-and-bound heap allocations in {decisions} steady-state fused decisions each \
+             (expected 0)"
         );
         std::process::exit(1);
     }
@@ -363,12 +411,18 @@ fn main() {
     write_path(&mut json, "fused_cold", &fused_cold);
     json.push_str(",\n  ");
     write_path(&mut json, "cache_replay", &replay);
+    json.push_str(",\n  ");
+    write_path(&mut json, "branch_and_bound_cold", &bb);
     let _ = write!(
         json,
-        ",\n  \"allocations_per_decision\": {allocs_per_decision:.3},\n  \
+        ",\n  \"allocations_per_decision\": {allocs_per_decision:.3}, \
+         \"branch_and_bound_allocations_per_decision\": {:.3},\n  \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"cross_decision_hits\": {},\n    \
          \"hits_by_depth\": ",
-        stats.cache_hits, stats.cache_misses, stats.cross_decision_hits
+        bb_allocs as f64 / decisions as f64,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.cross_decision_hits
     );
     write_u64s(&mut json, &stats.cache_hits_by_depth);
     json.push_str(", \"misses_by_depth\": ");

@@ -33,9 +33,13 @@ pub struct BoundedConfig {
     /// observation spaces (the EMN model has 2⁷ monitor masks).
     pub gamma_cutoff: f64,
     /// Use branch-and-bound expansion with a QMDP upper bound (the
-    /// paper's future-work extension). Produces identical decisions to
-    /// the plain Max-Avg expansion while expanding fewer nodes; costs
-    /// one MDP solve at construction.
+    /// paper's future-work extension). The root value equals the plain
+    /// Max-Avg expansion's and the chosen action is one of its
+    /// maximisers, usually after fewer nodes; ties can break
+    /// differently (the first strict maximiser in upper-estimate order
+    /// instead of the last maximal action index), and pruned actions
+    /// report their upper estimate in `q_values`. Costs one MDP solve
+    /// at construction.
     pub branch_and_bound: bool,
     /// Incremental-backup sweeps over the state-vertex beliefs run at
     /// construction. The raw RA-Bound is loose near `S_φ` (it prices in

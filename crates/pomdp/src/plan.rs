@@ -2,9 +2,11 @@
 //!
 //! A [`PlanWorkspace`] owns everything a tree expansion
 //! ([`crate::tree`]) needs beyond the model itself: a free-list arena
-//! of belief buffers, per-depth branch-and-bound frames, the
-//! within-decision transposition cache, and the [`Decision`] scratch
-//! the result is assembled in. Controllers hold one workspace across
+//! of belief buffers, the per-depth action orders of branch-and-bound
+//! nodes (one `(upper estimate, action)` pair per action; branch
+//! posteriors live only in arena buffers), the within-decision
+//! transposition cache, and the [`Decision`] scratch the result is
+//! assembled in. Controllers hold one workspace across
 //! decisions, so after the first decision warms the buffers up, a
 //! decision performs **zero heap allocations** (the bench suite's
 //! counting allocator enforces this).
@@ -44,7 +46,6 @@
 //! clear-every-decision semantics.
 
 use crate::tree::Decision;
-use bpr_linalg::CsrMatrix;
 use bpr_mdp::ActionId;
 
 /// Cumulative counters of one workspace's planning activity.
@@ -105,7 +106,7 @@ pub struct CacheEpoch {
 #[derive(Debug, Clone, Default)]
 pub struct PlanWorkspace {
     arena: Vec<Vec<f64>>,
-    frames: Vec<BbFrame>,
+    orders: Vec<Vec<(f64, usize)>>,
     cache: BeliefCache,
     decision: Decision,
     stats: PlanStats,
@@ -208,15 +209,15 @@ impl PlanWorkspace {
         self.arena.push(buf);
     }
 
-    pub(crate) fn take_frame(&mut self, depth: usize) -> BbFrame {
-        if self.frames.len() <= depth {
-            self.frames.resize_with(depth + 1, BbFrame::default);
+    /// The action order of a branch-and-bound node at remaining depth
+    /// `depth`: `(upper estimate, action)` pairs, one per action. A node
+    /// only recurses into depth `depth - 1`, so its order survives its
+    /// own descent; the vectors keep their capacity across decisions.
+    pub(crate) fn action_order(&mut self, depth: usize) -> &mut Vec<(f64, usize)> {
+        if self.orders.len() <= depth {
+            self.orders.resize_with(depth + 1, Vec::new);
         }
-        std::mem::take(&mut self.frames[depth])
-    }
-
-    pub(crate) fn put_frame(&mut self, depth: usize, frame: BbFrame) {
-        self.frames[depth] = frame;
+        &mut self.orders[depth]
     }
 
     /// Whether the current decision was opened with an epoch (i.e. the
@@ -317,83 +318,6 @@ impl PlanWorkspace {
         self.decision.action = action;
         self.decision.value = value;
         self.decision.nodes_expanded = nodes;
-    }
-}
-
-/// Per-depth scratch of one branch-and-bound node: the shared
-/// predictive vector, the surviving branches (flat `gammas` +
-/// posterior slots), and the per-action entries ordered for pruning.
-///
-/// Frames are checked out of the workspace by remaining depth via
-/// [`std::mem::take`]; a node at depth `d` only ever recurses into
-/// depth `d - 1`, so the frame it holds is never aliased.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BbFrame {
-    pub(crate) pred: Vec<f64>,
-    pub(crate) gammas: Vec<f64>,
-    posts: Vec<Vec<f64>>,
-    posts_used: usize,
-    pub(crate) entries: Vec<BbEntry>,
-}
-
-/// One action's row in a branch-and-bound frame.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BbEntry {
-    pub(crate) action: usize,
-    pub(crate) reward: f64,
-    pub(crate) q_ub: f64,
-    /// Index of the action's first branch in `gammas`/`posts`.
-    pub(crate) start: usize,
-    /// Number of surviving branches.
-    pub(crate) len: usize,
-}
-
-impl BbFrame {
-    pub(crate) fn reset(&mut self, n_states: usize) {
-        self.pred.clear();
-        self.pred.resize(n_states, 0.0);
-        self.gammas.clear();
-        self.entries.clear();
-        self.posts_used = 0;
-    }
-
-    /// Number of branches collected so far.
-    pub(crate) fn branches(&self) -> usize {
-        self.gammas.len()
-    }
-
-    /// Applies observation row `o` of `obs_t` to the predictive vector,
-    /// writing the unnormalised posterior into the next free slot and
-    /// returning `γ`. The slot is only consumed if the caller follows
-    /// up with [`BbFrame::keep_branch`]. Dimensions are the kernel's
-    /// own invariants, so this runs the debug-asserted unchecked scale.
-    pub(crate) fn scale_branch(&mut self, obs_t: &CsrMatrix, o: usize, n_states: usize) -> f64 {
-        if self.posts.len() == self.posts_used {
-            self.posts.push(vec![0.0; n_states]);
-        }
-        let slot = &mut self.posts[self.posts_used];
-        if slot.len() != n_states {
-            slot.clear();
-            slot.resize(n_states, 0.0);
-        }
-        obs_t.row_scaled_into_unchecked(o, &self.pred, slot)
-    }
-
-    /// Normalises the pending slot by `gamma` (replicating
-    /// [`bpr_linalg::dense::normalize_l1`]'s finite-sum guard) and
-    /// commits it as a surviving branch.
-    pub(crate) fn keep_branch(&mut self, gamma: f64) {
-        if gamma != 0.0 && gamma.is_finite() {
-            for v in self.posts[self.posts_used].iter_mut() {
-                *v /= gamma;
-            }
-        }
-        self.gammas.push(gamma);
-        self.posts_used += 1;
-    }
-
-    pub(crate) fn post(&self, i: usize) -> &[f64] {
-        &self.posts[i]
     }
 }
 

@@ -24,8 +24,9 @@
 //!
 //! # Branch layouts
 //!
-//! The plain kernel runs on one of two private layouts, chosen once per
-//! model from its observation matrices. The dense layout holds each
+//! The kernel runs on one of two private layouts, chosen once per model
+//! from its observation matrices; every sequential expansion (plain,
+//! epoch, budgeted and branch-and-bound) shares its one recursion. The dense layout holds each
 //! observation branch as a full `|S|` vector. The sparse layout, taken
 //! by models with mostly empty observation rows (the 10³–10⁴-state
 //! corpus), writes, normalises, keys and scores each branch on its
@@ -34,7 +35,7 @@
 //! node counts and cache statistics bit for bit.
 
 use crate::bounds::ValueBound;
-use crate::plan::{BbEntry, BeliefKey, CacheEpoch, PlanWorkspace, Prehashed, SparseKey};
+use crate::plan::{BeliefKey, CacheEpoch, PlanWorkspace, Prehashed, SparseKey};
 use crate::{Belief, Error, Pomdp};
 use bpr_linalg::{dense, CsrMatrix};
 use bpr_mdp::ActionId;
@@ -173,51 +174,82 @@ pub fn expand_with_workspace_epoch(
     Ok(())
 }
 
-/// The one root loop of every sequential plain expansion, budgeted or
-/// not (the caller has already validated `depth` and, for unbudgeted
-/// passes, opened the decision on `ws`). Writes the per-action values,
-/// the last-maximal argmax, and the node count into
-/// [`PlanWorkspace::decision`]; returns the nodes spent, or
-/// `Err(nodes)` when the budget ran out, in which case the
-/// workspace decision is partial and must not be read.
+/// The one root loop of every sequential expansion: plain, epoch,
+/// budgeted and branch-and-bound (the caller has already validated
+/// `depth` and, for unbudgeted passes, opened the decision on `ws`).
+/// Writes the per-action values, the chosen action and the node count
+/// into [`PlanWorkspace::decision`]; returns the nodes spent, or
+/// `Err(nodes)` when the budget ran out, in which case the workspace
+/// decision is partial and must not be read.
+///
+/// Without an upper bound every action is expanded in index order and
+/// the last maximal q wins. With one, actions are expanded in
+/// [`Kernel::sort_actions`] order: an action whose upper estimate
+/// cannot beat the incumbent is pruned and reports that estimate, and
+/// the incumbent changes only on a strictly greater q.
 fn expand_root<L: Layout>(
     kernel: &Kernel<'_, L>,
     belief: &Belief,
     depth: usize,
     ws: &mut PlanWorkspace,
 ) -> Result<usize, usize> {
-    ws.decision_clear();
-    let mut nodes = 0usize;
-    // Under epoch semantics the root's per-action values are cached
-    // too, keyed `(depth, action, belief)`: repeated decisions on the
-    // same belief then skip even the root-level τ computations, which
-    // dominate at depth 1 on large models. A hit replays the exact q
-    // and node count the subtree would have produced, so the Decision
-    // stays bit-identical. Without an epoch the cache is cleared per
-    // decision and root entries could never hit, so skip the traffic;
-    // budgeted passes never touch the cache at all. The root key is
-    // hashed once for all actions.
+    let n_actions = kernel.plain.pomdp.n_actions();
     let probs = belief.probs();
-    let root = (kernel.plain.use_cache && ws.has_epoch())
-        .then(|| Prehashed::new(kernel.layout.root_key(probs)));
-    for a in 0..kernel.plain.pomdp.n_actions() {
-        if let Some(key) = &root {
-            if let Some((q, sub)) = ws.root_cache_get(depth, a, key) {
-                nodes += sub;
-                ws.push_q(q);
-                continue;
+    let mut nodes = 0usize;
+    let (best_a, best_q) = if let Some(upper) = kernel.plain.upper {
+        // Branch-and-bound decisions open without an epoch, so the
+        // root cache below could never hit; it is not consulted.
+        kernel.sort_actions(ws, probs, depth, upper);
+        ws.decision_fill(n_actions, f64::NEG_INFINITY);
+        let mut best = (ws.action_order(depth)[0].1, f64::NEG_INFINITY);
+        for i in 0..n_actions {
+            let (q_ub, a) = ws.action_order(depth)[i];
+            let q = if q_ub <= best.1 {
+                q_ub
+            } else {
+                let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
+                    return Err(nodes);
+                };
+                if q > best.1 {
+                    best = (a, q);
+                }
+                q
+            };
+            ws.set_q(a, q);
+        }
+        best
+    } else {
+        ws.decision_clear();
+        // Under epoch semantics the root's per-action values are cached
+        // too, keyed `(depth, action, belief)`: repeated decisions on
+        // the same belief then skip even the root-level τ computations,
+        // which dominate at depth 1 on large models. A hit replays the
+        // exact q and node count the subtree would have produced, so
+        // the Decision stays bit-identical. Without an epoch the cache
+        // is cleared per decision and root entries could never hit, so
+        // skip the traffic; budgeted passes never touch the cache at
+        // all. The root key is hashed once for all actions.
+        let root = (kernel.plain.use_cache && ws.has_epoch())
+            .then(|| Prehashed::new(kernel.layout.root_key(probs)));
+        for a in 0..n_actions {
+            if let Some(key) = &root {
+                if let Some((q, sub)) = ws.root_cache_get(depth, a, key) {
+                    nodes += sub;
+                    ws.push_q(q);
+                    continue;
+                }
             }
+            let before = nodes;
+            let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
+                return Err(nodes);
+            };
+            if let Some(key) = &root {
+                ws.root_cache_put(depth, a, key, q, nodes - before);
+            }
+            ws.push_q(q);
         }
-        let before = nodes;
-        let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
-            return Err(nodes);
-        };
-        if let Some(key) = &root {
-            ws.root_cache_put(depth, a, key, q, nodes - before);
-        }
-        ws.push_q(q);
-    }
-    let (best_a, best_q) = argmax_last(ws.q_values());
+        argmax_last(ws.q_values())
+    };
     ws.finish_decision(ActionId::new(best_a), best_q, nodes);
     Ok(nodes)
 }
@@ -329,16 +361,19 @@ pub fn expand_budgeted(
 /// the paper's conclusion proposes as future work. The result lands in
 /// [`PlanWorkspace::decision`].
 ///
-/// Produces exactly the same decision values as
-/// [`expand_with_cutoff`] (pruned actions are provably not maximisers;
-/// their reported q-value is their upper estimate), typically expanding
-/// far fewer nodes, and is bit-identical to
+/// With a sound upper bound (one at or above the value of every
+/// belief) the root value equals [`expand_with_cutoff`]'s and the
+/// chosen action is one of its maximisers, typically after far fewer
+/// nodes. Ties can break differently: this keeps the first strict
+/// maximiser in upper-estimate order, the plain expansion the last
+/// maximal action index. A pruned action reports its upper estimate in
+/// `q_values`, not its q. The decision is bit-identical to
 /// [`legacy::expand_branch_and_bound`].
 ///
-/// The root and the recursion share one collect-score-prune helper;
-/// they differ only in that the root reports a q-value for every action
-/// (pruned ones get their upper estimate) while interior nodes stop at
-/// the first prunable entry of the sorted order.
+/// Runs on the plain kernel with the upper bound switched on: every
+/// interior node and the root score each action's one-step optimistic
+/// value, then descend in that order until the first action that cannot
+/// beat the best q found so far.
 ///
 /// # Errors
 ///
@@ -358,41 +393,12 @@ pub fn expand_branch_and_bound_with_workspace(
         return Err(depth_zero_error());
     }
     ws.begin();
-    let na = pomdp.n_actions();
-    ws.decision_fill(na, f64::NEG_INFINITY);
-    let kernel = BbKernel {
-        pomdp,
-        lower,
-        upper,
-        beta,
-        cutoff: gamma_cutoff,
-    };
-    let mut nodes = 0usize;
-    let mut frame = ws.take_frame(depth);
-    kernel.collect(&mut frame, belief.probs());
-    let mut best_value = f64::NEG_INFINITY;
-    let mut best_action = frame.entries[0].action;
-    for idx in 0..frame.entries.len() {
-        let e = frame.entries[idx];
-        if e.q_ub <= best_value {
-            // Provably cannot beat the incumbent: record the optimistic
-            // estimate and skip the descent.
-            ws.set_q(e.action, e.q_ub);
-            continue;
-        }
-        let mut q = e.reward;
-        for i in e.start..e.start + e.len {
-            let v = kernel.value(ws, frame.post(i), depth - 1, &mut nodes);
-            q += beta * frame.gammas[i] * v;
-        }
-        ws.set_q(e.action, q);
-        if q > best_value {
-            best_value = q;
-            best_action = e.action;
-        }
+    Plain {
+        upper: Some(upper),
+        ..Plain::unbudgeted(pomdp, lower, beta, gamma_cutoff)
     }
-    ws.put_frame(depth, frame);
-    ws.finish_decision(ActionId::new(best_action), best_value, nodes);
+    .expand_root(belief, depth, ws)
+    .expect("unbudgeted expansion never aborts");
     Ok(())
 }
 
@@ -407,7 +413,9 @@ fn argmax_last(q_values: &[f64]) -> (usize, f64) {
         .expect("model has at least one action")
 }
 
-/// The parameters of a plain (no upper bound) expansion. `budget` is
+/// The parameters of one expansion. `upper`, when set, orders and
+/// prunes the actions of the root and of every interior node
+/// (branch-and-bound); `None` expands every action. `budget` is
 /// `usize::MAX` for unbudgeted runs; `use_cache` is off for budgeted
 /// passes so abort points stay a function of the literal expansion
 /// order. The two entry methods run the [`Kernel`] on the model's
@@ -416,6 +424,7 @@ fn argmax_last(q_values: &[f64]) -> (usize, f64) {
 struct Plain<'a> {
     pomdp: &'a Pomdp,
     leaf: &'a dyn ValueBound,
+    upper: Option<&'a dyn ValueBound>,
     beta: f64,
     cutoff: f64,
     use_cache: bool,
@@ -423,11 +432,13 @@ struct Plain<'a> {
 }
 
 impl<'a> Plain<'a> {
-    /// The cached, unbudgeted engine every plain expansion runs on.
+    /// The cached, unbudgeted, unpruned engine every plain expansion
+    /// runs on.
     fn unbudgeted(pomdp: &'a Pomdp, leaf: &'a dyn ValueBound, beta: f64, cutoff: f64) -> Plain<'a> {
         Plain {
             pomdp,
             leaf,
+            upper: None,
             beta,
             cutoff,
             use_cache: true,
@@ -613,7 +624,7 @@ impl Layout for Sparse {
     }
 }
 
-/// The plain fused expansion engine on one branch layout.
+/// The fused expansion engine on one branch layout.
 struct Kernel<'a, L> {
     plain: Plain<'a>,
     layout: L,
@@ -629,6 +640,50 @@ impl<L: Layout> Kernel<'_, L> {
         a: usize,
         depth: usize,
         nodes: &mut usize,
+    ) -> Option<f64> {
+        self.branch_sum(ws, belief, a, |ws, post, support| {
+            self.node_value(ws, post, support, depth - 1, nodes)
+        })
+    }
+
+    /// Writes every action's `(upper estimate, action)` into the
+    /// workspace's depth-`depth` action order, sorted by estimate
+    /// descending, then action ascending. The estimate is one action
+    /// layer with `upper` scoring each branch: `Q(belief, a)` with the
+    /// upper bound at the leaves.
+    fn sort_actions(
+        &self,
+        ws: &mut PlanWorkspace,
+        belief: &[f64],
+        depth: usize,
+        upper: &dyn ValueBound,
+    ) {
+        ws.action_order(depth).clear();
+        for a in 0..self.plain.pomdp.n_actions() {
+            let q_ub = self
+                .branch_sum(ws, belief, a, |_, post, support| {
+                    Some(self.layout.leaf(upper, post, support))
+                })
+                .expect("leaf scoring never aborts");
+            ws.action_order(depth).push((q_ub, a));
+        }
+        ws.action_order(depth).sort_unstable_by(|x, y| {
+            y.0.partial_cmp(&x.0)
+                .expect("finite upper estimates")
+                .then(x.1.cmp(&y.1))
+        });
+    }
+
+    /// The branch loop of one `(node, action)` pair: the expected
+    /// reward plus `β γ(o) value(o)` over the surviving observation
+    /// branches in ascending `o`, where `value` scores the normalised
+    /// branch on its support; `None` as soon as `value` aborts.
+    fn branch_sum(
+        &self,
+        ws: &mut PlanWorkspace,
+        belief: &[f64],
+        a: usize,
+        mut value: impl FnMut(&mut PlanWorkspace, &[f64], &[usize]) -> Option<f64>,
     ) -> Option<f64> {
         let p = &self.plain;
         let action = ActionId::new(a);
@@ -650,7 +705,7 @@ impl<L: Layout> Kernel<'_, L> {
                     // non-zero mass (non-zero is established above).
                     self.layout.normalize(&mut post, support, gamma);
                 }
-                match self.node_value(ws, &post, support, depth - 1, nodes) {
+                match value(ws, &post, support) {
                     Some(v) => q += p.beta * gamma * v,
                     None => aborted = true,
                 }
@@ -669,8 +724,36 @@ impl<L: Layout> Kernel<'_, L> {
         }
     }
 
+    /// `max_a Q(belief, a)` at `depth ≥ 1` remaining layers with
+    /// branch-and-bound: the actions are descended in
+    /// [`Kernel::sort_actions`] order, stopping at the first whose upper
+    /// estimate cannot beat the best q so far. Out of line: inlined into
+    /// [`Kernel::node_value`] it grows the plain recursion's hot loop
+    /// and measurably slows plain expansion.
+    #[inline(never)]
+    fn pruned_max(
+        &self,
+        ws: &mut PlanWorkspace,
+        belief: &[f64],
+        depth: usize,
+        upper: &dyn ValueBound,
+        nodes: &mut usize,
+    ) -> Option<f64> {
+        self.sort_actions(ws, belief, depth, upper);
+        let mut best = f64::NEG_INFINITY;
+        for i in 0..self.plain.pomdp.n_actions() {
+            let (q_ub, a) = ws.action_order(depth)[i];
+            if q_ub <= best {
+                break; // sorted: every later action is prunable too
+            }
+            best = best.max(self.action_q(ws, belief, a, depth, nodes)?);
+        }
+        Some(best)
+    }
+
     /// `max_a Q(belief, a)` at `depth` remaining layers, or the leaf
     /// bound at depth 0. `belief` is a normalised branch on `support`.
+    /// With an upper bound the max is [`Kernel::pruned_max`].
     fn node_value(
         &self,
         ws: &mut PlanWorkspace,
@@ -697,6 +780,8 @@ impl<L: Layout> Kernel<'_, L> {
         let before = *nodes;
         let value = if depth == 0 {
             self.layout.leaf(p.leaf, belief, support)
+        } else if let Some(upper) = p.upper {
+            self.pruned_max(ws, belief, depth, upper, nodes)?
         } else {
             let mut best = f64::NEG_INFINITY;
             for a in 0..p.pomdp.n_actions() {
@@ -709,98 +794,6 @@ impl<L: Layout> Kernel<'_, L> {
             ws.cache_put(depth, key, value, *nodes - before);
         }
         Some(value)
-    }
-}
-
-/// The branch-and-bound fused engine: like [`Kernel`] but with an upper
-/// bound ordering and pruning the actions of every interior node.
-struct BbKernel<'a> {
-    pomdp: &'a Pomdp,
-    lower: &'a dyn ValueBound,
-    upper: &'a dyn ValueBound,
-    beta: f64,
-    cutoff: f64,
-}
-
-impl BbKernel<'_> {
-    /// Expands one node's successor set into `frame` and sorts the
-    /// per-action entries by descending upper estimate (action index
-    /// breaks ties, replicating the legacy stable sort). Shared by the
-    /// root and the recursion.
-    fn collect(&self, frame: &mut crate::plan::BbFrame, belief: &[f64]) {
-        let n = self.pomdp.n_states();
-        frame.reset(n);
-        for a in 0..self.pomdp.n_actions() {
-            let action = ActionId::new(a);
-            let reward = dense::dot(belief, self.pomdp.mdp().reward_vector(action));
-            self.pomdp
-                .mdp()
-                .transition_matrix(action)
-                .matvec_transpose_into_unchecked(belief, &mut frame.pred);
-            let obs_t = self.pomdp.observation_transpose(action);
-            let start = frame.branches();
-            for o in 0..self.pomdp.n_observations() {
-                let gamma = frame.scale_branch(obs_t, o, n);
-                if gamma > self.cutoff && gamma > 0.0 {
-                    frame.keep_branch(gamma);
-                }
-            }
-            let mut q_ub = reward;
-            for i in start..frame.branches() {
-                q_ub += self.beta * frame.gammas[i] * self.upper.value_weights(frame.post(i));
-            }
-            frame.entries.push(BbEntry {
-                action: a,
-                reward,
-                q_ub,
-                start,
-                len: frame.branches() - start,
-            });
-        }
-        frame.entries.sort_unstable_by(|x, y| {
-            y.q_ub
-                .partial_cmp(&x.q_ub)
-                .expect("finite upper estimates")
-                .then(x.action.cmp(&y.action))
-        });
-    }
-
-    fn value(
-        &self,
-        ws: &mut PlanWorkspace,
-        belief: &[f64],
-        depth: usize,
-        nodes: &mut usize,
-    ) -> f64 {
-        *nodes += 1;
-        if let Some((value, sub)) = ws.cache_get(depth, belief) {
-            *nodes += sub;
-            return value;
-        }
-        let before = *nodes;
-        let value = if depth == 0 {
-            self.lower.value_weights(belief)
-        } else {
-            let mut frame = ws.take_frame(depth);
-            self.collect(&mut frame, belief);
-            let mut best = f64::NEG_INFINITY;
-            for idx in 0..frame.entries.len() {
-                let e = frame.entries[idx];
-                if e.q_ub <= best {
-                    break; // sorted: everything after is also prunable
-                }
-                let mut q = e.reward;
-                for i in e.start..e.start + e.len {
-                    let v = self.value(ws, frame.post(i), depth - 1, nodes);
-                    q += self.beta * frame.gammas[i] * v;
-                }
-                best = best.max(q);
-            }
-            ws.put_frame(depth, frame);
-            best
-        };
-        ws.cache_put(depth, belief, value, *nodes - before);
-        value
     }
 }
 
@@ -1052,8 +1045,9 @@ type Successors = Vec<(f64, Belief)>;
 mod tests {
     use super::*;
     use crate::bounds::ra::tests::two_server_notified;
-    use crate::bounds::{ra_bound, ConstantBound, VectorSetBound};
+    use crate::bounds::{qmdp_bound, ra_bound, ConstantBound, VectorSetBound};
     use bpr_mdp::chain::SolveOpts;
+    use bpr_mdp::value_iteration::Discount;
 
     fn bb_decision(
         pomdp: &Pomdp,
@@ -1156,8 +1150,6 @@ mod tests {
 
     #[test]
     fn branch_and_bound_matches_plain_expansion() {
-        use crate::bounds::qmdp_bound;
-        use bpr_mdp::value_iteration::Discount;
         let p = two_server_notified();
         let lower = ra_bound(&p, &SolveOpts::default()).unwrap();
         let upper = qmdp_bound(&p, Discount::Undiscounted).unwrap();
@@ -1238,8 +1230,6 @@ mod tests {
 
     #[test]
     fn fused_branch_and_bound_matches_legacy_exactly() {
-        use crate::bounds::qmdp_bound;
-        use bpr_mdp::value_iteration::Discount;
         let p = two_server_notified();
         let lower = ra_bound(&p, &SolveOpts::default()).unwrap();
         let upper = qmdp_bound(&p, Discount::Undiscounted).unwrap();
@@ -1286,6 +1276,22 @@ mod tests {
             ws.stats().buffers_allocated,
             warm,
             "steady-state decisions allocated fresh buffers"
+        );
+        // Branch-and-bound on the same workspace: one warm-up decision,
+        // then steady state.
+        let upper = qmdp_bound(&p, Discount::Undiscounted).unwrap();
+        expand_branch_and_bound_with_workspace(&p, &b, 3, &ra, &upper, 1.0, 0.0, &mut ws).unwrap();
+        let first = ws.decision().clone();
+        let warm = ws.stats().buffers_allocated;
+        for _ in 0..5 {
+            expand_branch_and_bound_with_workspace(&p, &b, 3, &ra, &upper, 1.0, 0.0, &mut ws)
+                .unwrap();
+            assert_eq!(ws.decision(), &first, "b&b decisions drifted across reuse");
+        }
+        assert_eq!(
+            ws.stats().buffers_allocated,
+            warm,
+            "steady-state b&b decisions allocated fresh buffers"
         );
     }
 
@@ -1397,6 +1403,9 @@ mod tests {
         plane[0] = 0.0;
         plane[1] = -0.0;
         bound.add_vector(plane).unwrap();
+        // Rewards are non-positive, so the discounted QMDP values lie
+        // above the undiscounted ones: a sound upper bound.
+        let upper = qmdp_bound(&p, Discount::Factor(0.95)).unwrap();
         let epoch = CacheEpoch {
             model_fingerprint: p.fingerprint(),
             bound_generation: bound.generation(),
@@ -1434,6 +1443,27 @@ mod tests {
                     assert_eq!(dense_ws.stats(), sparse_ws.stats(), "depth {depth}");
                 }
                 let old = legacy::expand_with_cutoff(&p, b, depth, &bound, 1.0, 0.0).unwrap();
+                assert_eq!(decision_bits(&old), decision_bits(sparse_ws.decision()));
+                // Branch-and-bound on both layouts, against legacy.
+                let bb = Plain {
+                    upper: Some(&upper),
+                    ..plain
+                };
+                dense_ws.begin();
+                sparse_ws.begin();
+                let layouts = (
+                    expand_root(&bb.on(Dense), b, depth, &mut dense_ws),
+                    expand_root(&bb.on(Sparse), b, depth, &mut sparse_ws),
+                );
+                assert_eq!(layouts.0, layouts.1);
+                assert_eq!(
+                    decision_bits(dense_ws.decision()),
+                    decision_bits(sparse_ws.decision()),
+                    "b&b depth {depth}"
+                );
+                assert_eq!(dense_ws.stats(), sparse_ws.stats(), "b&b depth {depth}");
+                let old = legacy::expand_branch_and_bound(&p, b, depth, &bound, &upper, 1.0, 0.0)
+                    .unwrap();
                 assert_eq!(decision_bits(&old), decision_bits(sparse_ws.decision()));
             }
         }

@@ -15,13 +15,14 @@
 //! empty (mean fill at most 1/8) run the kernel's sparse branch layout,
 //! which touches only each observation row's stored states; the
 //! `sparse_*` properties and the corpus test hold that layout to the
-//! same bit-identity.
+//! same bit-identity, branch-and-bound included.
 
 use bpr_core::anytime_expand_with_workspace;
 use bpr_mdp::chain::SolveOpts;
+use bpr_mdp::value_iteration::Discount;
 use bpr_mdp::{ActionId, MdpBuilder};
 use bpr_par::WorkPool;
-use bpr_pomdp::bounds::{ra_bound, ConstantBound, ValueBound, VectorSetBound};
+use bpr_pomdp::bounds::{qmdp_bound, ra_bound, ConstantBound, ValueBound, VectorSetBound};
 use bpr_pomdp::tree::Decision;
 use bpr_pomdp::{tree, Belief, CacheEpoch, PlanWorkspace, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
@@ -198,15 +199,17 @@ fn decision_bits(d: &Decision) -> (usize, u64, Vec<u64>, usize) {
     (d.action.index(), d.value.to_bits(), q, d.nodes_expanded)
 }
 
-/// Every plain entry point against the legacy decision, bit for bit:
-/// the workspace pass, two epoch passes (the second replays
-/// cross-decision entries), an exact-budget pass (and its one-short
-/// abort), and root-parallel expansion at widths 1 and 2.
+/// Every entry point against the legacy decision, bit for bit: the
+/// workspace pass, two epoch passes (the second replays cross-decision
+/// entries), an exact-budget pass (and its one-short abort),
+/// root-parallel expansion at widths 1 and 2, and branch-and-bound
+/// with `upper` against the legacy branch-and-bound.
 fn assert_entry_points_match_legacy(
     pomdp: &Pomdp,
     belief: &Belief,
     depth: usize,
     leaf: &VectorSetBound,
+    upper: &VectorSetBound,
     cutoff: f64,
 ) {
     let old = tree::legacy::expand_with_cutoff(pomdp, belief, depth, leaf, 1.0, cutoff)
@@ -241,6 +244,25 @@ fn assert_entry_points_match_legacy(
             .expect("parallel expands");
         assert_eq!(decision_bits(&parallel), want, "parallel width {width}");
     }
+    let old = tree::legacy::expand_branch_and_bound(pomdp, belief, depth, leaf, upper, 1.0, cutoff)
+        .expect("legacy b&b expands");
+    tree::expand_branch_and_bound_with_workspace(
+        pomdp, belief, depth, leaf, upper, 1.0, cutoff, &mut ws,
+    )
+    .expect("b&b pass expands");
+    assert_eq!(
+        decision_bits(ws.decision()),
+        decision_bits(&old),
+        "branch-and-bound pass"
+    );
+}
+
+/// The QMDP upper bound at discount 0.95. Every reward of the random
+/// models is non-positive, so discounting only raises values and the
+/// bound stays above the undiscounted value; unlike the undiscounted
+/// QMDP its value iteration converges on every random model.
+fn random_upper(pomdp: &Pomdp) -> VectorSetBound {
+    qmdp_bound(pomdp, Discount::Factor(0.95)).expect("discounted QMDP converges")
 }
 
 proptest! {
@@ -254,8 +276,9 @@ proptest! {
     ) {
         let pomdp = build_sparse(&spec);
         let lower = random_lower_with_zero_plane(&pomdp, spec.seed);
+        let upper = random_upper(&pomdp);
         for belief in probe_beliefs(&pomdp, spec.seed) {
-            assert_entry_points_match_legacy(&pomdp, &belief, depth, &lower, cutoff);
+            assert_entry_points_match_legacy(&pomdp, &belief, depth, &lower, &upper, cutoff);
         }
     }
 
@@ -402,7 +425,7 @@ proptest! {
 fn workspace_reuse_matches_fresh_workspaces_across_models() {
     // One workspace reused across *different* models and depths must
     // give the same decisions as a fresh workspace per call (no state
-    // leaks through the arena, frames, or cache).
+    // leaks through the arena or cache).
     let mut ws = PlanWorkspace::new();
     for seed in 0..8u64 {
         let spec = RandomPomdp {
@@ -461,6 +484,8 @@ fn corpus_visited_beliefs_match_legacy_on_both_layouts() {
             .map(|s| pomdp.mdp().reward(s, model.terminate_action()))
             .collect();
         leaf.add_vector(plane).expect("same dimension");
+        // The branch-and-bound controller's upper bound.
+        let upper = qmdp_bound(pomdp, Discount::Undiscounted).expect("QMDP converges");
         let null = model.null_states()[0].index();
         // A leaf concentrated on the null state scores exactly zero, so
         // its support sums are zero and take the dense fallback.
@@ -472,7 +497,7 @@ fn corpus_visited_beliefs_match_legacy_on_both_layouts() {
             "{name}"
         );
         for belief in visited_beliefs(pomdp, null) {
-            assert_entry_points_match_legacy(pomdp, &belief, depth, &leaf, cutoff);
+            assert_entry_points_match_legacy(pomdp, &belief, depth, &leaf, &upper, cutoff);
         }
     }
 }
