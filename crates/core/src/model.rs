@@ -572,7 +572,7 @@ impl TerminatedModel {
     /// Lumps the transformed model by its monitor-aliasing partition:
     /// the lint analyzer's exact-bit equivalence classes
     /// ([`bpr_lint::checks::monitor_partition`]) seed
-    /// [`bpr_pomdp::lump()`], which refines them to a sound
+    /// [`bpr_pomdp::lump_certificate`], which refines them to a sound
     /// state-aggregation quotient (see its module docs). The quotient
     /// is returned as a [`TerminatedModel`] whose `s_T`, `a_T`, and
     /// null-state bookkeeping are mapped through the certificate, so
@@ -582,13 +582,15 @@ impl TerminatedModel {
     /// with fault states or with `s_T` — the merge semantics of the
     /// recovery bookkeeping (`null_states`, termination) stay exact
     /// even where the raw dynamics alone would allow a coarser merge.
-    /// When nothing is mergeable the result is the identity quotient
+    /// When nothing is mergeable the result is the identity quotient:
+    /// it shares this model's `Arc<Pomdp>` instead of rebuilding it,
     /// and planning on it is bit-identical to the original.
     ///
     /// # Errors
     ///
     /// Propagates quotient-construction failures from
-    /// [`bpr_pomdp::lump()`] (they indicate a malformed model).
+    /// [`bpr_pomdp::LumpCertificate::quotient`] (they indicate a
+    /// malformed model).
     pub fn lump(&self) -> Result<(TerminatedModel, bpr_pomdp::LumpCertificate), Error> {
         let mut seed: Vec<Vec<StateId>> = Vec::new();
         for class in bpr_lint::checks::monitor_partition(&self.pomdp) {
@@ -610,8 +612,13 @@ impl TerminatedModel {
                 seed.push(faults);
             }
         }
-        let lumping = bpr_pomdp::lump(&self.pomdp, &seed).map_err(Error::Pomdp)?;
-        let cert = lumping.certificate;
+        let cert = bpr_pomdp::lump_certificate(&self.pomdp, &seed).map_err(Error::Pomdp)?;
+        // The identity quotient is this model: share it, do not rebuild.
+        let pomdp = if cert.is_identity() {
+            Arc::clone(&self.pomdp)
+        } else {
+            Arc::new(cert.quotient(&self.pomdp).map_err(Error::Pomdp)?)
+        };
         let null_states: Vec<StateId> = (0..cert.n_quotient())
             .map(StateId::new)
             .filter(|&c| {
@@ -620,7 +627,7 @@ impl TerminatedModel {
             })
             .collect();
         let quotient = TerminatedModel {
-            pomdp: Arc::new(lumping.pomdp),
+            pomdp,
             terminate_state: cert.class_of(self.terminate_state),
             terminate_action: self.terminate_action,
             terminated_observation: self.terminated_observation,
@@ -842,8 +849,11 @@ pub(crate) mod tests {
         assert!(std::ptr::eq(model.base(), model.clone().base()));
         let t = model.without_notification(4.0).unwrap();
         assert!(std::ptr::eq(t.pomdp(), t.clone().pomdp()));
-        let (quotient, _) = t.lump().unwrap();
+        let (quotient, certificate) = t.lump().unwrap();
         assert!(std::ptr::eq(quotient.pomdp(), quotient.clone().pomdp()));
+        // Nothing merges here, so the quotient is the model itself.
+        assert!(certificate.is_identity());
+        assert!(std::ptr::eq(quotient.pomdp(), t.pomdp()));
     }
 
     #[test]

@@ -211,16 +211,40 @@ impl VectorSetBound {
     /// hyperplane. [`crate::backup::incremental_backup`] reproduces this
     /// rule in its own selection loop, so it is pinned by a unit test.
     ///
+    /// Four planes are scored per pass over `weights`, so four
+    /// independent sums are in flight instead of one serial chain; the
+    /// remainder planes take one [`dense::dot`] each. Each value is
+    /// bit-identical to `dense::dot(weights, b)`, and the planes are
+    /// offered to the running maximum in index order, so the result
+    /// equals the per-plane `max_by` reference in index and value bits.
+    ///
     /// # Panics
     ///
     /// Panics if `weights.len()` differs from the set's dimension.
     pub fn best_vector_quiet(&self, weights: &[f64]) -> Option<(usize, f64)> {
         assert_eq!(weights.len(), self.n_states, "weight length mismatch");
-        self.vectors
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (i, dense::dot(weights, b)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite bound values"))
+        let mut best: Option<(usize, f64)> = None;
+        // `Iterator::max_by`'s rule: the candidate replaces the running
+        // maximum unless the maximum compares strictly greater.
+        let mut offer = |i: usize, v: f64| {
+            if best.is_none_or(|(_, m)| {
+                m.partial_cmp(&v).expect("finite bound values") != std::cmp::Ordering::Greater
+            }) {
+                best = Some((i, v));
+            }
+        };
+        let mut quads = self.vectors.chunks_exact(4);
+        for (q, quad) in quads.by_ref().enumerate() {
+            for (k, v) in dot4(weights, quad).into_iter().enumerate() {
+                offer(4 * q + k, v);
+            }
+        }
+        let rest = quads.remainder();
+        let base = self.vectors.len() - rest.len();
+        for (k, b) in rest.iter().enumerate() {
+            offer(base + k, dense::dot(weights, b));
+        }
+        best
     }
 
     /// Records a usage hit for the vector at `index` (interior
@@ -298,6 +322,23 @@ impl VectorSetBound {
         self.generation = next_generation();
         evicted
     }
+}
+
+/// `dense::dot(weights, b)` for four planes in one pass: accumulator
+/// `k` sums `weights[i] * quad[k][i]` in ascending `i` from `-0.0`, the
+/// start of `f64`'s `Sum`, so each result equals the serial dot
+/// product bit for bit while the four chains run side by side.
+fn dot4(weights: &[f64], quad: &[Vec<f64>]) -> [f64; 4] {
+    let n = weights.len();
+    let (b0, b1, b2, b3) = (&quad[0][..n], &quad[1][..n], &quad[2][..n], &quad[3][..n]);
+    let mut acc = [-0.0f64; 4];
+    for ((((&w, &x0), &x1), &x2), &x3) in weights.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+        acc[0] += w * x0;
+        acc[1] += w * x1;
+        acc[2] += w * x2;
+        acc[3] += w * x3;
+    }
+    acc
 }
 
 impl VectorSetBound {
@@ -421,6 +462,91 @@ mod tests {
         assert_eq!(set.best_vector_quiet(&[0.0, 0.0]).map(|(i, _)| i), Some(2));
         // A strict maximum still wins wherever it sits.
         assert_eq!(set.best_vector_quiet(&[1.0, 0.0]), Some((0, -1.0)));
+    }
+
+    /// A set holding exactly `vectors`, duplicates included (the
+    /// dominance filter of `add_vector` would drop exact ties).
+    fn raw_set(n_states: usize, vectors: Vec<Vec<f64>>) -> VectorSetBound {
+        VectorSetBound {
+            n_states,
+            usage: vec![0; vectors.len()],
+            vectors,
+            generation: next_generation(),
+        }
+    }
+
+    /// The per-plane selection the four-plane pass replaced.
+    fn per_plane_reference(set: &VectorSetBound, weights: &[f64]) -> Option<(usize, f64)> {
+        set.vectors
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (i, dense::dot(weights, b)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite bound values"))
+    }
+
+    #[test]
+    fn best_vector_quiet_matches_the_per_plane_reference_bit_for_bit() {
+        let n = 5;
+        // Planes: a few distinct slopes, an exact duplicate of plane 0
+        // (a tie wherever plane 0 wins), and planes whose entries are
+        // ±0.0 where the weights below put mass, so their products are
+        // all `-0.0` or mixed-sign zeros.
+        let pool: Vec<Vec<f64>> = vec![
+            vec![-1.0, -3.0, -2.0, -0.5, -4.0],
+            vec![-3.0, -1.0, -0.25, -4.0, -2.0],
+            vec![-1.0, -3.0, -2.0, -0.5, -4.0],
+            vec![-0.0, -2.0, -7.0, -1.0, -3.0],
+            vec![0.0, -0.0, -1.0, -2.0, -5.0],
+            vec![-2.5, -2.5, -2.5, -2.5, -2.5],
+            vec![-0.0, -0.0, -0.0, -0.0, -0.0],
+            vec![-1.0, -3.0, -2.0, -0.5, -4.0],
+            vec![0.0, 0.0, 0.0, 0.0, 0.0],
+        ];
+        let weights: Vec<[f64; 5]> = vec![
+            [0.2; 5],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.1, 0.2, 0.3, 0.25, 0.15],
+            [0.0, 0.0, 0.5, 0.0, 0.5],
+        ];
+        for size in 0..=9 {
+            // Rotations of the pool, so every plane (and every tie)
+            // lands in each slot of a four-plane pass and in the tail.
+            for shift in 0..pool.len() {
+                let planes = (0..size)
+                    .map(|i| pool[(i + shift) % pool.len()].clone())
+                    .collect();
+                let set = raw_set(n, planes);
+                for w in &weights {
+                    let got = set.best_vector_quiet(w);
+                    let want = per_plane_reference(&set, w);
+                    assert_eq!(
+                        got.map(|(i, v)| (i, v.to_bits())),
+                        want.map(|(i, v)| (i, v.to_bits())),
+                        "size {size}, shift {shift}, weights {w:?}"
+                    );
+                    assert_eq!(
+                        set.value_weights(w).to_bits(),
+                        want.map_or(f64::NEG_INFINITY, |(_, v)| v).to_bits()
+                    );
+                }
+            }
+        }
+        // The reference's zero: a plane whose every product is `-0.0`
+        // sums to `-0.0` (`f64`'s `Sum` starts there) and wins alone.
+        let set = raw_set(
+            2,
+            vec![
+                vec![-5.0, -5.0],
+                vec![-6.0, -6.0],
+                vec![-7.0, -7.0],
+                vec![-0.0, -1.0],
+            ],
+        );
+        let (i, v) = set.best_vector_quiet(&[1.0, 0.0]).unwrap();
+        assert_eq!((i, v.to_bits()), (3, (-0.0f64).to_bits()));
     }
 
     #[test]

@@ -64,6 +64,6 @@ pub mod tree;
 pub use belief::{Belief, RobustUpdate};
 pub use bpr_mdp::{ActionId, StateId};
 pub use error::Error;
-pub use lump::{lump, LumpCertificate, LumpStats, Lumping};
+pub use lump::{lump, lump_certificate, LumpCertificate, LumpStats, Lumping};
 pub use model::{ObservationId, Pomdp, PomdpBuilder};
 pub use plan::{CacheEpoch, PlanStats, PlanWorkspace};

@@ -40,9 +40,10 @@
 //! (every class a singleton), because then no re-association happens
 //! at all.
 //!
-//! The quotient is rebuilt through [`bpr_mdp::MdpBuilder`] and
+//! A merging quotient is rebuilt through [`bpr_mdp::MdpBuilder`] and
 //! [`PomdpBuilder`], so it re-passes every stochasticity validation of
-//! a hand-built model.
+//! a hand-built model. An identity certificate's quotient is the input
+//! model itself, so it is shared or cloned, never rebuilt.
 
 use crate::{Belief, Error, Pomdp, PomdpBuilder};
 use bpr_mdp::{MdpBuilder, StateId};
@@ -229,16 +230,44 @@ impl Lumping {
 /// * Construction errors from the quotient rebuild are propagated
 ///   (they indicate a malformed input model, not a lumping failure).
 pub fn lump(pomdp: &Pomdp, seed: &[Vec<StateId>]) -> Result<Lumping, Error> {
+    let certificate = lump_certificate(pomdp, seed)?;
+    let quotient = if certificate.is_identity() {
+        pomdp.clone()
+    } else {
+        certificate.quotient(pomdp)?
+    };
+    Ok(Lumping {
+        pomdp: quotient,
+        certificate,
+    })
+}
+
+/// The certificate [`lump`] would return, without building the
+/// quotient. When it [is the identity](LumpCertificate::is_identity)
+/// the quotient is the input model itself, so a caller holding the
+/// model behind a shared pointer can keep sharing it; otherwise
+/// [`LumpCertificate::quotient`] builds it.
+///
+/// Refinement stops as soon as every class is a singleton: a partition
+/// of singletons cannot split further.
+///
+/// # Errors
+///
+/// [`Error::IndexOutOfBounds`] if a seed state is out of range or
+/// appears in more than one group.
+pub fn lump_certificate(pomdp: &Pomdp, seed: &[Vec<StateId>]) -> Result<LumpCertificate, Error> {
     let n = pomdp.n_states();
     let mut class_of = seed_partition(n, seed)?;
 
     // Refinement 1 + 2: exact observation rows and rewards. One
     // combined key per state; states agreeing on the key stay together.
-    let static_keys: Vec<Vec<u64>> = (0..n).map(|s| static_key(pomdp, s)).collect();
-    split_by_key(&mut class_of, |s| static_keys[s].clone());
+    if class_count(&class_of) < n {
+        let static_keys: Vec<Vec<u64>> = (0..n).map(|s| static_key(pomdp, s)).collect();
+        split_by_key(&mut class_of, |s| static_keys[s].clone());
+    }
 
     // Refinement 3: class-respecting transitions, to a fixpoint.
-    loop {
+    while class_count(&class_of) < n {
         let before = class_count(&class_of);
         let snapshot = class_of.clone();
         split_by_key(&mut class_of, |s| transition_key(pomdp, s, &snapshot));
@@ -247,12 +276,7 @@ pub fn lump(pomdp: &Pomdp, seed: &[Vec<StateId>]) -> Result<Lumping, Error> {
         }
     }
 
-    let certificate = canonicalize(class_of);
-    let quotient = build_quotient(pomdp, &certificate)?;
-    Ok(Lumping {
-        pomdp: quotient,
-        certificate,
-    })
+    Ok(canonicalize(class_of))
 }
 
 /// Seed partition: listed groups get one class each, all other states
@@ -297,7 +321,7 @@ fn seed_partition(n: usize, seed: &[Vec<StateId>]) -> Result<Vec<usize>, Error> 
 fn static_key(pomdp: &Pomdp, s: usize) -> Vec<u64> {
     let mut key = Vec::new();
     for a in 0..pomdp.n_actions() {
-        key.push(pomdp.mdp().reward_vector(a).to_vec()[s].to_bits());
+        key.push(pomdp.mdp().reward_vector(a)[s].to_bits());
         for (o, q) in pomdp.observation_matrix(a).row(s) {
             key.push(o as u64);
             key.push(q.to_bits());
@@ -384,48 +408,59 @@ fn canonicalize(class_of: Vec<usize>) -> LumpCertificate {
     }
 }
 
-/// Builds the quotient POMDP from the representatives' rows.
-fn build_quotient(pomdp: &Pomdp, cert: &LumpCertificate) -> Result<Pomdp, Error> {
-    let nq = cert.n_quotient();
-    let na = pomdp.n_actions();
-    let mdp = pomdp.mdp();
-    let mut builder = MdpBuilder::new(nq, na);
-    for a in 0..na {
-        builder.duration(a, mdp.duration(a));
-        builder.action_label(a, mdp.action_label(a));
-    }
-    let mut agg: HashMap<usize, f64> = HashMap::new();
-    for c in 0..nq {
-        let rep = cert.members[c][0];
-        builder.state_label(c, mdp.state_label(StateId::new(rep)));
+impl LumpCertificate {
+    /// The quotient POMDP over this certificate's classes, rebuilt from
+    /// the class representatives' rows through the validating
+    /// [`bpr_mdp::MdpBuilder`] and [`PomdpBuilder`] (see the module
+    /// docs). [`lump`] skips this for an identity certificate, whose
+    /// quotient is the input model.
+    ///
+    /// # Errors
+    ///
+    /// Construction errors from the builders (a malformed input model,
+    /// or a certificate made for another model).
+    pub fn quotient(&self, pomdp: &Pomdp) -> Result<Pomdp, Error> {
+        let nq = self.n_quotient();
+        let na = pomdp.n_actions();
+        let mdp = pomdp.mdp();
+        let mut builder = MdpBuilder::new(nq, na);
         for a in 0..na {
-            builder.reward(c, a, mdp.reward_vector(a)[rep]);
-            agg.clear();
-            for (s2, p) in mdp.transition_matrix(a).row(rep) {
-                *agg.entry(cert.class_of[s2]).or_insert(0.0) += p;
-            }
-            let mut pairs: Vec<(usize, f64)> = agg.iter().map(|(&c2, &m)| (c2, m)).collect();
-            pairs.sort_unstable_by_key(|&(c2, _)| c2);
-            for (c2, m) in pairs {
-                builder.transition(c, a, c2, m);
+            builder.duration(a, mdp.duration(a));
+            builder.action_label(a, mdp.action_label(a));
+        }
+        let mut agg: HashMap<usize, f64> = HashMap::new();
+        for c in 0..nq {
+            let rep = self.members[c][0];
+            builder.state_label(c, mdp.state_label(StateId::new(rep)));
+            for a in 0..na {
+                builder.reward(c, a, mdp.reward_vector(a)[rep]);
+                agg.clear();
+                for (s2, p) in mdp.transition_matrix(a).row(rep) {
+                    *agg.entry(self.class_of[s2]).or_insert(0.0) += p;
+                }
+                let mut pairs: Vec<(usize, f64)> = agg.iter().map(|(&c2, &m)| (c2, m)).collect();
+                pairs.sort_unstable_by_key(|&(c2, _)| c2);
+                for (c2, m) in pairs {
+                    builder.transition(c, a, c2, m);
+                }
             }
         }
-    }
-    let quotient_mdp = builder.build().map_err(Error::Mdp)?;
-    let no = pomdp.n_observations();
-    let mut pb = PomdpBuilder::new(quotient_mdp, no);
-    for o in 0..no {
-        pb.observation_label(o, pomdp.observation_label(o));
-    }
-    for c in 0..nq {
-        let rep = cert.members[c][0];
-        for a in 0..na {
-            for (o, q) in pomdp.observation_matrix(a).row(rep) {
-                pb.observation(c, a, o, q);
+        let quotient_mdp = builder.build().map_err(Error::Mdp)?;
+        let no = pomdp.n_observations();
+        let mut pb = PomdpBuilder::new(quotient_mdp, no);
+        for o in 0..no {
+            pb.observation_label(o, pomdp.observation_label(o));
+        }
+        for c in 0..nq {
+            let rep = self.members[c][0];
+            for a in 0..na {
+                for (o, q) in pomdp.observation_matrix(a).row(rep) {
+                    pb.observation(c, a, o, q);
+                }
             }
         }
+        pb.build()
     }
-    pb.build()
 }
 
 #[cfg(test)]

@@ -33,6 +33,33 @@
 //! observation row's stored states only, leaf bounds included through
 //! [`ValueBound::value_support`]. Both produce the same decisions,
 //! node counts and cache statistics bit for bit.
+//!
+//! # What one Max-Avg node costs
+//!
+//! Three rules keep a `(node, action)` pair cheap on both layouts, and
+//! each changes no bit of any decision or node count:
+//!
+//! - **Branch masses first.** One pass over the non-zero entries of
+//!   `P_aᵀ π`, in ascending state order, walks the state-major rows of
+//!   [`Pomdp::observation_matrix`] and accumulates every `γ(o)`. Only
+//!   the branches with `γ > cutoff ∧ γ > 0` are then scaled,
+//!   normalised and valued; on EMN that is about 10 of 129. Each `γ`
+//!   adds the same products in the same ascending-state order as the
+//!   row scale, and every skipped term is `+0.0`, which leaves a
+//!   non-negative sum that started at `+0.0` unchanged (a
+//!   `debug_assert` compares the two sums bit for bit).
+//! - **Leaves are evaluated, not cached.** The transposition cache
+//!   holds interior nodes and the root's per-action entries only. A
+//!   leaf entry would replay zero extra nodes, so node counts do not
+//!   change; keying a leaf (hashing, probing and storing `|S|` words)
+//!   cost more than scoring it, and leaf entries were most of the
+//!   cache's memory.
+//! - **Four planes per pass.** The leaf bound
+//!   ([`VectorSetBound::best_vector_quiet`](crate::bounds::VectorSetBound::best_vector_quiet))
+//!   scores four hyperplanes per pass over the belief, each in its own
+//!   accumulator summed in ascending state order from `-0.0` like
+//!   `f64`'s `Sum`, so every value equals its serial dot product and
+//!   the last maximal plane still wins.
 
 use crate::bounds::ValueBound;
 use crate::plan::{BeliefKey, CacheEpoch, PlanWorkspace, Prehashed, SparseKey};
@@ -624,6 +651,31 @@ impl Layout for Sparse {
     }
 }
 
+/// Every branch mass `γ(o) = Σ_s q(o|s,a) · pred(s)` of one `(node,
+/// action)` pair in one pass over the non-zero entries of `pred`, in
+/// ascending state order, walking the state-major rows of `obs`
+/// ([`Pomdp::observation_matrix`]). `gammas` is zeroed on entry.
+///
+/// Bit-identical to the sum [`Layout::scale`] returns for every `o`
+/// (row `o` of the transpose through
+/// [`CsrMatrix::row_scaled_into_unchecked`], or the sparse row loop):
+/// both add the same products `q(o|s,a) · pred(s)` in the same
+/// ascending-`s` order starting from `+0.0`. The terms this pass skips
+/// (`pred(s) = 0`, or `q(o|s,a)` not stored) are `+0.0`, and adding
+/// `+0.0` to a non-negative partial sum that started at `+0.0` is
+/// exact, so the skipped terms change no bit.
+fn branch_masses(obs: &CsrMatrix, pred: &[f64], gammas: &mut [f64]) {
+    for (s, &w) in pred.iter().enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        let (cols, q) = obs.row_slice(s);
+        for (&o, &v) in cols.iter().zip(q) {
+            gammas[o] += v * w;
+        }
+    }
+}
+
 /// The fused expansion engine on one branch layout.
 struct Kernel<'a, L> {
     plain: Plain<'a>,
@@ -678,6 +730,10 @@ impl<L: Layout> Kernel<'_, L> {
     /// reward plus `β γ(o) value(o)` over the surviving observation
     /// branches in ascending `o`, where `value` scores the normalised
     /// branch on its support; `None` as soon as `value` aborts.
+    ///
+    /// Branch masses come first ([`branch_masses`]): every `γ(o)` is
+    /// known before any branch is written, so only the branches that
+    /// pass the cutoff are scaled, normalised and valued.
     fn branch_sum(
         &self,
         ws: &mut PlanWorkspace,
@@ -694,21 +750,29 @@ impl<L: Layout> Kernel<'_, L> {
             .mdp()
             .transition_matrix(action)
             .matvec_transpose_into_unchecked(belief, &mut pred);
+        let mut gammas = ws.checkout(p.pomdp.n_observations());
+        branch_masses(p.pomdp.observation_matrix(action), &pred, &mut gammas);
         let obs_t = p.pomdp.observation_transpose(action);
         let mut post = ws.checkout(n);
         let mut aborted = false;
-        for o in 0..p.pomdp.n_observations() {
-            let (gamma, support) = self.layout.scale(obs_t, o, &pred, &mut post);
-            if gamma > p.cutoff && gamma > 0.0 {
-                if gamma.is_finite() {
-                    // normalize_l1's guard: division only for a finite,
-                    // non-zero mass (non-zero is established above).
-                    self.layout.normalize(&mut post, support, gamma);
-                }
-                match value(ws, &post, support) {
-                    Some(v) => q += p.beta * gamma * v,
-                    None => aborted = true,
-                }
+        for (o, &gamma) in gammas.iter().enumerate() {
+            if !(gamma > p.cutoff && gamma > 0.0) {
+                continue;
+            }
+            let (scaled, support) = self.layout.scale(obs_t, o, &pred, &mut post);
+            debug_assert_eq!(
+                scaled.to_bits(),
+                gamma.to_bits(),
+                "state-major branch mass differs from the row scale's"
+            );
+            if gamma.is_finite() {
+                // normalize_l1's guard: division only for a finite,
+                // non-zero mass (non-zero is established above).
+                self.layout.normalize(&mut post, support, gamma);
+            }
+            match value(ws, &post, support) {
+                Some(v) => q += p.beta * gamma * v,
+                None => aborted = true,
             }
             self.layout.clear(&mut post, support);
             if aborted {
@@ -716,6 +780,7 @@ impl<L: Layout> Kernel<'_, L> {
             }
         }
         ws.release(post);
+        ws.release(gammas);
         ws.release(pred);
         if aborted {
             None
@@ -754,6 +819,10 @@ impl<L: Layout> Kernel<'_, L> {
     /// `max_a Q(belief, a)` at `depth` remaining layers, or the leaf
     /// bound at depth 0. `belief` is a normalised branch on `support`.
     /// With an upper bound the max is [`Kernel::pruned_max`].
+    ///
+    /// Leaves are evaluated, never cached: a leaf entry would replay
+    /// `sub = 0` extra nodes, so skipping the cache leaves node counts
+    /// unchanged, and keying a leaf costs more than scoring it.
     fn node_value(
         &self,
         ws: &mut PlanWorkspace,
@@ -767,6 +836,9 @@ impl<L: Layout> Kernel<'_, L> {
         if *nodes > p.budget {
             return None;
         }
+        if depth == 0 {
+            return Some(self.layout.leaf(p.leaf, belief, support));
+        }
         // Hashed once for the lookup and, on a miss, the store.
         let key = p
             .use_cache
@@ -778,9 +850,7 @@ impl<L: Layout> Kernel<'_, L> {
             }
         }
         let before = *nodes;
-        let value = if depth == 0 {
-            self.layout.leaf(p.leaf, belief, support)
-        } else if let Some(upper) = p.upper {
+        let value = if let Some(upper) = p.upper {
             self.pruned_max(ws, belief, depth, upper, nodes)?
         } else {
             let mut best = f64::NEG_INFINITY;
@@ -1466,6 +1536,135 @@ mod tests {
                     .unwrap();
                 assert_eq!(decision_bits(&old), decision_bits(sparse_ws.decision()));
             }
+        }
+    }
+
+    /// A deterministic xorshift stream in `[0, 1)` for the kernel tests.
+    fn unit(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn branch_masses_equal_the_row_scale_sums_bit_for_bit() {
+        // 24 states x 20 observations, state-major. Observations 0..8
+        // are emitted by most states (their transposed rows get dense
+        // mirrors), the rest by few. The builders keep exact zeros out,
+        // so stored entries that contribute `+0.0` come from underflow:
+        // state 5 emits every observation with q = 1e-200, and `pred`
+        // holds 1e-200 there, so each of its products is `+0.0`.
+        let (n, no) = (24, 20);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut triplets = Vec::new();
+        for s in 0..n {
+            for o in 0..no {
+                let keep = if s == 5 {
+                    true
+                } else if o < 8 {
+                    unit(&mut rng) < 0.9
+                } else {
+                    unit(&mut rng) < 0.15
+                };
+                if keep {
+                    let q = if s == 5 {
+                        1e-200
+                    } else {
+                        unit(&mut rng) + 1e-3
+                    };
+                    triplets.push((s, o, q));
+                }
+            }
+        }
+        let obs = CsrMatrix::from_triplets(n, no, &triplets).unwrap();
+        let plain_t = obs.transpose();
+        let mut mirrored_t = plain_t.clone();
+        mirrored_t.enable_dense_rows();
+        assert!(mirrored_t.has_dense_rows(), "some rows take the dense path");
+        let mut out = vec![0.0; n];
+        for trial in 0..200 {
+            let mut pred: Vec<f64> = (0..n)
+                .map(|_| {
+                    let u = unit(&mut rng);
+                    if u < 0.4 {
+                        0.0
+                    } else {
+                        u * 10f64.powi(-(trial % 5))
+                    }
+                })
+                .collect();
+            pred[5] = if trial % 2 == 0 { 1e-200 } else { 0.0 };
+            let mut gammas = vec![0.0; no];
+            branch_masses(&obs, &pred, &mut gammas);
+            for (o, g) in gammas.iter().enumerate() {
+                for t in [&plain_t, &mirrored_t] {
+                    let sum = t.row_scaled_into_unchecked(o, &pred, &mut out);
+                    assert_eq!(g.to_bits(), sum.to_bits(), "trial {trial}, o = {o}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tree_decisions_match_legacy_at_a_cutoff_equal_to_a_branch_mass() {
+        let dense = two_server_notified();
+        let sparse = sparse_rows_model();
+        for p in [&dense, &sparse] {
+            let n = p.n_states();
+            let bound =
+                VectorSetBound::from_vector((0..n).map(|s| -1.0 - s as f64).collect()).unwrap();
+            let b = Belief::uniform(n);
+            // The smallest root branch mass of every action: at that
+            // exact cutoff the branch is pruned (`γ > cutoff` fails).
+            let tight: Vec<f64> = (0..p.n_actions())
+                .map(|a| {
+                    b.successors(p, ActionId::new(a), 0.0)
+                        .iter()
+                        .map(|&(_, g, _)| g)
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .collect();
+            for cutoff in [0.0, 1e-4].into_iter().chain(tight) {
+                for depth in 1..=2 {
+                    let old =
+                        legacy::expand_with_cutoff(p, &b, depth, &bound, 1.0, cutoff).unwrap();
+                    let new = expand_with_cutoff(p, &b, depth, &bound, 1.0, cutoff).unwrap();
+                    assert_eq!(
+                        decision_bits(&old),
+                        decision_bits(&new),
+                        "cutoff {cutoff:e}, depth {depth}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaves_stay_out_of_the_transposition_cache() {
+        for p in [two_server_notified(), sparse_rows_model()] {
+            let ra = VectorSetBound::from_vector(vec![-2.0; p.n_states()]).unwrap();
+            let epoch = CacheEpoch {
+                model_fingerprint: p.fingerprint(),
+                bound_generation: ra.generation(),
+                beta_bits: 1.0f64.to_bits(),
+                cutoff_bits: 0.0f64.to_bits(),
+            };
+            let b = Belief::uniform(p.n_states());
+            let mut ws = PlanWorkspace::new();
+            for _ in 0..2 {
+                expand_with_workspace_epoch(&p, &b, 2, &ra, 1.0, 0.0, epoch, &mut ws).unwrap();
+                let old = legacy::expand_with_cutoff(&p, &b, 2, &ra, 1.0, 0.0).unwrap();
+                assert_eq!(decision_bits(&old), decision_bits(ws.decision()));
+            }
+            let stats = ws.stats();
+            assert_eq!(stats.cache_hits_by_depth[0], 0, "{stats:?}");
+            assert_eq!(stats.cache_misses_by_depth[0], 0, "{stats:?}");
+            assert!(
+                stats.cache_misses_by_depth[1] > 0,
+                "interior nodes are cached"
+            );
+            assert!(stats.cross_decision_hits > 0, "root entries replay");
         }
     }
 
