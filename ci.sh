@@ -42,7 +42,7 @@ cargo run -p bpr-bench --bin kill_resume --release -- \
 
 echo "==> planning-throughput smoke (fails under a 5x cold-path speedup over legacy on the dense EMN kernel, on fused/parallel/branch-and-bound divergence or on steady-state allocations)"
 cargo run -p bpr-bench --bin planning --release -- \
-  --decisions 8 --depth 2 --threads 1,2,4 \
+  --decisions 40 --depth 2 --threads 1,2,4 \
   --min-speedup 5 --out "$out/BENCH_planning_emn.json"
 
 echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, on divergence -- branch-and-bound on the sparse layout included -- or on steady-state allocations; cache replay is reported, not gated)"
