@@ -473,3 +473,62 @@ fn rules_preview_rows_match_pinned_digest() {
         "preview rows drifted from their pinned digest"
     );
 }
+
+/// Pinned content fingerprints of the notified (`with_notification`)
+/// and transformed (`without_notification`) models of the paper's two
+/// models and two corpus scenarios, and of the quotient of a topology
+/// whose lump merges states. The fingerprint hashes every transition,
+/// reward, duration and observation entry per action, so a change to
+/// how the model stores its matrices that altered any of them, or the
+/// order they are hashed in, moves a pin; it is also half of every
+/// plan-cache epoch and checkpoint session key.
+#[test]
+fn model_fingerprints_match_pinned_values() {
+    let registry = bpr::scenario::builtin();
+    let mut seen = Vec::new();
+    for name in ["emn", "two-server", "web3tier-small", "cellfleet-mid"] {
+        let scenario = registry.require(name).expect("builtin scenario");
+        let model = scenario.build().expect("scenario builds");
+        let notified = model.with_notification().expect("notified transform");
+        let transformed = model
+            .without_notification(scenario.operator_response_time())
+            .expect("terminate transform");
+        seen.push((format!("{name} notified"), notified.fingerprint()));
+        seen.push((
+            format!("{name} transformed"),
+            transformed.pomdp().fingerprint(),
+        ));
+    }
+    let spec = bpr_topo::TopologySpec::builder()
+        .tier("web", 2, 3, 60.0)
+        .hosts(3)
+        .racks(1)
+        .restart_group_size(1)
+        .seed(0)
+        .build()
+        .expect("spec is statically valid");
+    let (quotient, certificate) = bpr_topo::compile(&spec)
+        .expect("spec compiles")
+        .without_notification(spec.operator_response_time)
+        .expect("transform")
+        .lump()
+        .expect("lumping succeeds");
+    assert!(!certificate.is_identity(), "the fixture merges states");
+    seen.push((
+        "single-rack quotient".into(),
+        quotient.pomdp().fingerprint(),
+    ));
+    let pinned: [(&str, u64); 9] = [
+        ("emn notified", 7018070567932201698u64),
+        ("emn transformed", 10125784819033359921u64),
+        ("two-server notified", 13478123036257016699u64),
+        ("two-server transformed", 11636608336597711369u64),
+        ("web3tier-small notified", 16518304579946197104u64),
+        ("web3tier-small transformed", 6802011085000387014u64),
+        ("cellfleet-mid notified", 4495120917521969004u64),
+        ("cellfleet-mid transformed", 6540966982560497676u64),
+        ("single-rack quotient", 18014241102517942525u64),
+    ];
+    let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, f)| (n.into(), f)).collect();
+    assert_eq!(seen, pinned, "a model fingerprint drifted from its pin");
+}
