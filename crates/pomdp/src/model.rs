@@ -54,13 +54,21 @@ impl fmt::Display for ObservationId {
 pub struct Pomdp {
     mdp: Mdp,
     n_observations: usize,
-    /// `observations[a]` is `n_states x n_observations`; row `s'` holds
-    /// `q(· | s', a)`.
+    /// `obs_of[a]` indexes action `a`'s observation matrix in
+    /// `observations` and `observations_t`. Monitors report on the
+    /// state entered, so most actions share one matrix (EMN: 10
+    /// actions, 2 distinct; cellfleet-mid: 32 actions, 2 distinct).
+    obs_of: Vec<usize>,
+    /// The distinct observation matrices, each stored once, in order
+    /// of first use by ascending action. "Distinct" is bit-equality
+    /// ([`CsrMatrix::identical`]). Each is `n_states x n_observations`;
+    /// row `s'` holds `q(· | s', a)`, with dense mirrors on its
+    /// high-fill rows for the tree kernel's branch masses.
     observations: Vec<CsrMatrix>,
-    /// `observations_t[a] = observations[a]ᵀ` (`n_observations x
-    /// n_states`), precomputed at build time; row `o` is the sparse
-    /// diagonal of the fused posterior operator `τ_{a,o}` (see
-    /// [`Pomdp::observation_transpose`]).
+    /// `observations_t[i] = observations[i]ᵀ` (`n_observations x
+    /// n_states`), precomputed at build time, with dense mirrors; row
+    /// `o` is the sparse diagonal of the fused posterior operator
+    /// `τ_{a,o}` (see [`Pomdp::observation_transpose`]).
     observations_t: Vec<CsrMatrix>,
     observation_labels: Vec<String>,
     /// Content hash over dynamics, rewards, and observations, computed
@@ -68,7 +76,7 @@ pub struct Pomdp {
     fingerprint: u64,
     /// Whether the tree kernel writes observation branches on their
     /// rows' supports only (see [`Pomdp::sparse_branches`]); a function
-    /// of `observations_t`, chosen once at build time.
+    /// of the observation matrices, chosen once at build time.
     sparse_branches: bool,
 }
 
@@ -119,7 +127,8 @@ impl Pomdp {
         action: impl Into<ActionId>,
         o: impl Into<ObservationId>,
     ) -> f64 {
-        self.observations[action.into().index()].get(entered.into().index(), o.into().index())
+        self.observation_matrix(action)
+            .get(entered.into().index(), o.into().index())
     }
 
     /// The sparse observation matrix of one action (rows are entered
@@ -129,7 +138,7 @@ impl Pomdp {
     ///
     /// Panics if `action` is out of bounds.
     pub fn observation_matrix(&self, action: impl Into<ActionId>) -> &CsrMatrix {
-        &self.observations[action.into().index()]
+        &self.observations[self.obs_of[action.into().index()]]
     }
 
     /// The transposed observation matrix of one action
@@ -149,7 +158,7 @@ impl Pomdp {
     ///
     /// Panics if `action` is out of bounds.
     pub fn observation_transpose(&self, action: impl Into<ActionId>) -> &CsrMatrix {
-        &self.observations_t[action.into().index()]
+        &self.observations_t[self.obs_of[action.into().index()]]
     }
 
     /// Whether the planning kernel uses its sparse branch layout on
@@ -163,6 +172,12 @@ impl Pomdp {
         self.sparse_branches
     }
 
+    /// How many distinct observation matrices the model stores.
+    #[cfg(test)]
+    pub(crate) fn n_distinct_observation_matrices(&self) -> usize {
+        self.observations.len()
+    }
+
     /// Iterates over the observations `(o, q(o|s', a))` possible when
     /// entering `entered` under `action`.
     ///
@@ -174,7 +189,7 @@ impl Pomdp {
         entered: impl Into<StateId>,
         action: impl Into<ActionId>,
     ) -> impl Iterator<Item = (ObservationId, f64)> + '_ {
-        self.observations[action.into().index()]
+        self.observation_matrix(action)
             .row(entered.into().index())
             .map(|(o, q)| (ObservationId::new(o), q))
     }
@@ -369,7 +384,8 @@ impl PomdpBuilder {
     pub fn build(&self) -> Result<Pomdp, Error> {
         const TOL: f64 = 1e-9;
         let n = self.mdp.n_states();
-        let mut observations = Vec::with_capacity(self.mdp.n_actions());
+        let mut obs_of = Vec::with_capacity(self.mdp.n_actions());
+        let mut observations: Vec<CsrMatrix> = Vec::new();
         for a in 0..self.mdp.n_actions() {
             let m = CsrMatrix::from_triplets(n, self.n_observations, &self.triplets[a])
                 .map_err(|e| Error::Mdp(bpr_mdp::Error::Linalg(e)))?;
@@ -393,8 +409,17 @@ impl PomdpBuilder {
                     });
                 }
             }
-            observations.push(m);
+            match observations.iter().position(|d| d.identical(&m)) {
+                Some(i) => obs_of.push(i),
+                None => {
+                    obs_of.push(observations.len());
+                    observations.push(m);
+                }
+            }
         }
+        let per_action: Vec<&CsrMatrix> = obs_of.iter().map(|&i| &observations[i]).collect();
+        let fingerprint = fingerprint_pomdp(&self.mdp, self.n_observations, &per_action);
+        let sparse_branches = branches_pay_sparse(n, self.n_observations, &per_action);
         let observations_t: Vec<CsrMatrix> = observations
             .iter()
             .map(|m| {
@@ -406,11 +431,15 @@ impl PomdpBuilder {
                 t
             })
             .collect();
-        let fingerprint = fingerprint_pomdp(&self.mdp, self.n_observations, &observations);
-        let sparse_branches = branches_pay_sparse(n, self.n_observations, &observations_t);
+        // Row `s'` feeds the branch-mass SpMV `Q_aᵀ · pred`; on EMN
+        // every row is mostly full.
+        for m in &mut observations {
+            m.enable_dense_rows();
+        }
         Ok(Pomdp {
             mdp: self.mdp.clone(),
             n_observations: self.n_observations,
+            obs_of,
             observations,
             observations_t,
             observation_labels: self.observation_labels.clone(),
@@ -435,9 +464,15 @@ const SPARSE_BRANCH_MAX_FILL: f64 = 0.125;
 /// dense branch costs `O(|S|)` per observation, a sparse one
 /// `O(nnz(row))`, so the sparse layout pays once the rows are mostly
 /// empty.
-fn branches_pay_sparse(n_states: usize, n_observations: usize, obs_t: &[CsrMatrix]) -> bool {
-    let cells = (obs_t.len() * n_observations * n_states) as f64;
-    let stored: usize = obs_t.iter().map(CsrMatrix::nnz).sum();
+/// `observations[a]` is action `a`'s matrix, shared ones repeated, so
+/// the fill is the mean over actions (`nnz(Q_aᵀ) = nnz(Q_a)`).
+fn branches_pay_sparse(
+    n_states: usize,
+    n_observations: usize,
+    observations: &[&CsrMatrix],
+) -> bool {
+    let cells = (observations.len() * n_observations * n_states) as f64;
+    let stored: usize = observations.iter().map(|m| m.nnz()).sum();
     n_states >= SPARSE_BRANCH_MIN_STATES && (stored as f64) <= SPARSE_BRANCH_MAX_FILL * cells
 }
 
@@ -453,7 +488,9 @@ fn fnv_fold(h: u64, word: u64) -> u64 {
 
 /// FNV-1a content hash over everything that affects planning values:
 /// dimensions, transition rows, rewards, durations, observation rows.
-fn fingerprint_pomdp(mdp: &Mdp, n_observations: usize, observations: &[CsrMatrix]) -> u64 {
+/// `observations[a]` is action `a`'s matrix, shared ones repeated, so
+/// the hash does not depend on how the model stores them.
+fn fingerprint_pomdp(mdp: &Mdp, n_observations: usize, observations: &[&CsrMatrix]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     h = fnv_fold(h, mdp.n_states() as u64);
     h = fnv_fold(h, mdp.n_actions() as u64);
@@ -607,6 +644,291 @@ mod tests {
         pb.observation(1, 0, 1, 1.0);
         let variant = pb.build().unwrap();
         assert_ne!(tiny_pomdp().fingerprint(), variant.fingerprint());
+    }
+
+    /// Per-action observation triplets `(s', o, q)` of a test model.
+    type ObsTriplets = Vec<Vec<(usize, usize, f64)>>;
+
+    /// A model with `triplets[a]` as action `a`'s observation model, on
+    /// a chain `s → s + 1` (last state absorbing) for every action.
+    fn model_with_observations(n: usize, n_obs: usize, triplets: &ObsTriplets) -> Pomdp {
+        let mut mb = MdpBuilder::new(n, triplets.len());
+        for a in 0..triplets.len() {
+            for s in 0..n {
+                mb.transition(s, a, (s + 1).min(n - 1), 1.0);
+                mb.reward(s, a, -1.0 - a as f64);
+            }
+        }
+        let mut pb = PomdpBuilder::new(mb.build().unwrap(), n_obs);
+        for (a, per_action) in triplets.iter().enumerate() {
+            for &(s, o, q) in per_action {
+                pb.observation(s, a, o, q);
+            }
+        }
+        pb.build().unwrap()
+    }
+
+    /// One observation model on 40 states and 20 observations: state
+    /// `s` emits `s % 20` and `(s + shift) % 20`. Rows are sparse, so
+    /// the model takes the sparse branch layout.
+    fn shifted_observations(shift: usize) -> Vec<(usize, usize, f64)> {
+        (0..40)
+            .flat_map(|s| [(s, s % 20, 0.75), (s, (s + shift) % 20, 0.25)])
+            .collect()
+    }
+
+    /// Four actions; actions 0, 1 and 3 share one observation model.
+    fn three_of_four_shared() -> ObsTriplets {
+        let shared = shifted_observations(1);
+        vec![
+            shared.clone(),
+            shared.clone(),
+            shifted_observations(7),
+            shared,
+        ]
+    }
+
+    /// The pre-sharing reference: each action's matrix built on its own
+    /// from its triplets.
+    fn per_action_reference(n: usize, n_obs: usize, triplets: &ObsTriplets) -> Vec<CsrMatrix> {
+        triplets
+            .iter()
+            .map(|t| CsrMatrix::from_triplets(n, n_obs, t).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn actions_sharing_an_observation_model_store_it_once() {
+        let p = model_with_observations(40, 20, &three_of_four_shared());
+        assert_eq!(p.n_distinct_observation_matrices(), 2);
+        assert_eq!(p.obs_of, vec![0, 0, 1, 0]);
+        // A model whose actions all differ stores one per action.
+        let distinct: ObsTriplets = (1..4).map(shifted_observations).collect();
+        let p = model_with_observations(40, 20, &distinct);
+        assert_eq!(p.n_distinct_observation_matrices(), 3);
+    }
+
+    #[test]
+    fn accessors_return_each_actions_own_observation_model() {
+        let triplets = three_of_four_shared();
+        let p = model_with_observations(40, 20, &triplets);
+        let reference = per_action_reference(40, 20, &triplets);
+        for (a, q) in reference.iter().enumerate() {
+            assert!(p.observation_matrix(a).identical(q), "action {a}");
+            assert!(
+                p.observation_transpose(a).identical(&q.transpose()),
+                "action {a} transpose"
+            );
+            for s in 0..40 {
+                let row: Vec<(ObservationId, f64)> =
+                    q.row(s).map(|(o, v)| (ObservationId::new(o), v)).collect();
+                assert_eq!(
+                    p.observations_on_entering(s, a).collect::<Vec<_>>(),
+                    row,
+                    "action {a}, state {s}"
+                );
+                for o in 0..20 {
+                    assert_eq!(
+                        p.observation_prob(s, a, o).to_bits(),
+                        q.get(s, o).to_bits(),
+                        "q({o} | {s}, {a})"
+                    );
+                }
+                let mut rng = StdRng::seed_from_u64((a * 40 + s) as u64);
+                let mut reference_rng = rng.clone();
+                for _ in 0..8 {
+                    let u: f64 = reference_rng.gen();
+                    let (mut acc, mut expected) = (0.0, None);
+                    for (o, v) in q.row(s) {
+                        acc += v;
+                        expected = Some(o);
+                        if u < acc {
+                            break;
+                        }
+                    }
+                    let drawn = p.sample_observation(&mut rng, StateId::new(s), ActionId::new(a));
+                    assert_eq!(Some(drawn.index()), expected, "action {a}, state {s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matrices_that_differ_in_one_bit_stay_separate() {
+        // One ulp in one value (the row still sums to 1 within the
+        // builder's tolerance).
+        let base = shifted_observations(1);
+        let mut nudged = base.clone();
+        nudged[0].2 = f64::from_bits(nudged[0].2.to_bits() + 1);
+        let p = model_with_observations(40, 20, &vec![base.clone(), nudged.clone()]);
+        assert_eq!(p.n_distinct_observation_matrices(), 2);
+        assert_eq!(p.observation_prob(0, 1, 0).to_bits(), nudged[0].2.to_bits());
+        assert_ne!(
+            p.observation_prob(0, 0, 0).to_bits(),
+            p.observation_prob(0, 1, 0).to_bits()
+        );
+
+        // A signed zero: the builder stores no zeros, of either sign, so
+        // `+0.0` and `-0.0` mass leave the same matrix and it is shared
+        // (`CsrMatrix::identical` itself tells a stored `-0.0` from
+        // `+0.0`; see its tests).
+        let mut plus = base.clone();
+        plus.push((0, 5, 0.0));
+        let mut minus = base;
+        minus.push((0, 5, -0.0));
+        let p = model_with_observations(40, 20, &vec![plus, minus]);
+        assert_eq!(p.n_distinct_observation_matrices(), 1);
+    }
+
+    #[test]
+    fn layout_and_fingerprint_match_the_per_action_reference() {
+        // Four states with full rows; action 1 spreads its mass over
+        // half the observations.
+        let dense_rows: ObsTriplets = (0..3)
+            .map(|a| {
+                let width = if a == 1 { 10 } else { 20 };
+                (0..4)
+                    .flat_map(|s| (0..width).map(move |o| (s, o, 1.0 / width as f64)))
+                    .collect()
+            })
+            .collect();
+        // Two actions share a fill-0.1 matrix and one has fill 0.175:
+        // the mean over actions sits exactly at the sparse threshold
+        // (0.125), while a mean over the 2 distinct matrices (0.1375)
+        // would miss it.
+        let wide: Vec<(usize, usize, f64)> = (0..40)
+            .flat_map(|s| {
+                let k = 3 + s % 2;
+                (0..k).map(move |j| (s, (s + 5 * j) % 20, 1.0 / k as f64))
+            })
+            .collect();
+        let threshold = vec![shifted_observations(1), shifted_observations(1), wide];
+        assert!(model_with_observations(40, 20, &threshold).sparse_branches());
+        for (n, triplets) in [
+            (40, three_of_four_shared()),
+            (40, vec![shifted_observations(1); 5]),
+            (40, threshold),
+            (4, dense_rows),
+        ] {
+            let p = model_with_observations(n, 20, &triplets);
+            let reference = per_action_reference(n, 20, &triplets);
+            let refs: Vec<&CsrMatrix> = reference.iter().collect();
+            assert_eq!(
+                p.fingerprint(),
+                fingerprint_pomdp(p.mdp(), 20, &refs),
+                "{n} states"
+            );
+            assert_eq!(
+                p.sparse_branches(),
+                branches_pay_sparse(n, 20, &refs),
+                "{n} states"
+            );
+        }
+        assert!(model_with_observations(40, 20, &three_of_four_shared()).sparse_branches());
+        // Sharing changes nothing the hash reads: one model whose
+        // actions share and one whose actions hold bit-equal copies are
+        // the same model.
+        let shared = model_with_observations(40, 20, &vec![shifted_observations(1); 2]);
+        let copies: Vec<CsrMatrix> =
+            per_action_reference(40, 20, &vec![shifted_observations(1); 2]);
+        let refs: Vec<&CsrMatrix> = copies.iter().collect();
+        assert_eq!(
+            shared.fingerprint(),
+            fingerprint_pomdp(shared.mdp(), 20, &refs)
+        );
+    }
+
+    /// Reference branch masses: `γ(o) = Σ_s q(o|s) · pred(s)` scattered
+    /// over the stored entries only, in ascending `s`, no dense rows.
+    fn scatter_branch_masses(obs: &CsrMatrix, pred: &[f64], gammas: &mut [f64]) {
+        gammas.fill(0.0);
+        for (s, &w) in pred.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let (cols, q) = obs.row_slice(s);
+            for (&o, &v) in cols.iter().zip(q) {
+                gammas[o] += v * w;
+            }
+        }
+    }
+
+    /// A deterministic xorshift stream in `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The model's state-major observation matrices carry dense
+        /// mirrors, and the mirrored transposed SpMV gives the branch
+        /// masses of the scatter loop bit for bit, for random sparse
+        /// models and predictions with zeros, tiny and mixed-scale
+        /// entries.
+        #[test]
+        #[cfg_attr(miri, ignore = "48 random models are too slow under miri")]
+        fn mirrored_branch_masses_match_the_scatter_loop(
+            n in 2usize..30,
+            n_obs in 16usize..48,
+            n_actions in 1usize..4,
+            fill in 0.05f64..0.9,
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut rng = seed;
+            let triplets: ObsTriplets = (0..n_actions)
+                .map(|_| {
+                    let mut t = Vec::new();
+                    for s in 0..n {
+                        // State 0 emits every observation, so every
+                        // model has at least one mirrored row.
+                        let mut row = Vec::new();
+                        for o in 0..n_obs {
+                            if s == 0 || unit(&mut rng) < fill {
+                                let tiny = unit(&mut rng) < 0.05;
+                                row.push((o, if tiny { 1e-300 } else { unit(&mut rng) + 1e-3 }));
+                            }
+                        }
+                        if row.is_empty() {
+                            row.push((s % n_obs, 1.0));
+                        }
+                        let total: f64 = row.iter().map(|&(_, w)| w).sum();
+                        t.extend(row.into_iter().map(|(o, w)| (s, o, w / total)));
+                    }
+                    t
+                })
+                .collect();
+            let p = model_with_observations(n, n_obs, &triplets);
+            let mut fast = vec![0.0; n_obs];
+            let mut reference = vec![0.0; n_obs];
+            for a in 0..n_actions {
+                let q = p.observation_matrix(a);
+                proptest::prop_assert!(q.has_dense_rows(), "row 0 is full");
+                for trial in 0..8 {
+                    let pred: Vec<f64> = (0..n)
+                        .map(|_| {
+                            let u = unit(&mut rng);
+                            if u < 0.3 {
+                                0.0
+                            } else if u < 0.35 {
+                                1e-300
+                            } else {
+                                u * 10f64.powi(-(trial % 6))
+                            }
+                        })
+                        .collect();
+                    fast.fill(1.0);
+                    q.matvec_transpose_into_unchecked(&pred, &mut fast);
+                    scatter_branch_masses(q, &pred, &mut reference);
+                    for (o, (x, y)) in fast.iter().zip(&reference).enumerate() {
+                        proptest::prop_assert_eq!(x.to_bits(), y.to_bits(), "action {}, o = {}", a, o);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

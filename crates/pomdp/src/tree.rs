@@ -39,15 +39,20 @@
 //! Three rules keep a `(node, action)` pair cheap on both layouts, and
 //! each changes no bit of any decision or node count:
 //!
-//! - **Branch masses first.** One pass over the non-zero entries of
-//!   `P_aᵀ π`, in ascending state order, walks the state-major rows of
-//!   [`Pomdp::observation_matrix`] and accumulates every `γ(o)`. Only
-//!   the branches with `γ > cutoff ∧ γ > 0` are then scaled,
-//!   normalised and valued; on EMN that is about 10 of 129. Each `γ`
-//!   adds the same products in the same ascending-state order as the
-//!   row scale, and every skipped term is `+0.0`, which leaves a
-//!   non-negative sum that started at `+0.0` unchanged (a
-//!   `debug_assert` compares the two sums bit for bit).
+//! - **Branch masses first.** One transposed SpMV
+//!   `γ = Q_aᵀ · (P_aᵀ π)` over the state-major
+//!   [`Pomdp::observation_matrix`]
+//!   ([`CsrMatrix::matvec_transpose_into_unchecked`]) accumulates every
+//!   `γ(o)` in ascending state order, skipping zero prediction entries.
+//!   The model gives its state-major matrices dense-row mirrors, so on
+//!   EMN, whose 15 rows are mostly full, that is 15 contiguous axpys of
+//!   length 129 instead of ~1 600 indirect scatters. Only the branches
+//!   with `γ > cutoff ∧ γ > 0` are then scaled, normalised and valued;
+//!   on EMN that is about 10 of 129. Each `γ` adds the same products in
+//!   the same ascending-state order as the row scale, and every term
+//!   either side skips or pads is `+0.0`, which leaves a non-negative
+//!   sum that started at `+0.0` unchanged (a `debug_assert` compares
+//!   the two sums bit for bit).
 //! - **Leaves are evaluated, not cached.** The transposition cache
 //!   holds interior nodes and the root's per-action entries only. A
 //!   leaf entry would replay zero extra nodes, so node counts do not
@@ -651,31 +656,6 @@ impl Layout for Sparse {
     }
 }
 
-/// Every branch mass `γ(o) = Σ_s q(o|s,a) · pred(s)` of one `(node,
-/// action)` pair in one pass over the non-zero entries of `pred`, in
-/// ascending state order, walking the state-major rows of `obs`
-/// ([`Pomdp::observation_matrix`]). `gammas` is zeroed on entry.
-///
-/// Bit-identical to the sum [`Layout::scale`] returns for every `o`
-/// (row `o` of the transpose through
-/// [`CsrMatrix::row_scaled_into_unchecked`], or the sparse row loop):
-/// both add the same products `q(o|s,a) · pred(s)` in the same
-/// ascending-`s` order starting from `+0.0`. The terms this pass skips
-/// (`pred(s) = 0`, or `q(o|s,a)` not stored) are `+0.0`, and adding
-/// `+0.0` to a non-negative partial sum that started at `+0.0` is
-/// exact, so the skipped terms change no bit.
-fn branch_masses(obs: &CsrMatrix, pred: &[f64], gammas: &mut [f64]) {
-    for (s, &w) in pred.iter().enumerate() {
-        if w == 0.0 {
-            continue;
-        }
-        let (cols, q) = obs.row_slice(s);
-        for (&o, &v) in cols.iter().zip(q) {
-            gammas[o] += v * w;
-        }
-    }
-}
-
 /// The fused expansion engine on one branch layout.
 struct Kernel<'a, L> {
     plain: Plain<'a>,
@@ -731,9 +711,16 @@ impl<L: Layout> Kernel<'_, L> {
     /// branches in ascending `o`, where `value` scores the normalised
     /// branch on its support; `None` as soon as `value` aborts.
     ///
-    /// Branch masses come first ([`branch_masses`]): every `γ(o)` is
-    /// known before any branch is written, so only the branches that
-    /// pass the cutoff are scaled, normalised and valued.
+    /// Branch masses come first: one transposed SpMV
+    /// `γ = Q_aᵀ · pred` over the state-major observation matrix
+    /// ([`CsrMatrix::matvec_transpose_into_unchecked`]) gives every
+    /// `γ(o)` before any branch is written, so only the branches that
+    /// pass the cutoff are scaled, normalised and valued. Each `γ(o)`
+    /// adds the products `q(o|s,a) · pred(s)` in ascending `s` from
+    /// `+0.0`, like the row scale; every term one of them skips (an
+    /// unstored `q`, a zero `pred(s)`, a dense mirror's padding) is
+    /// `+0.0`, which leaves a non-negative sum unchanged, so the two
+    /// agree bit for bit (debug-asserted below).
     fn branch_sum(
         &self,
         ws: &mut PlanWorkspace,
@@ -751,7 +738,9 @@ impl<L: Layout> Kernel<'_, L> {
             .transition_matrix(action)
             .matvec_transpose_into_unchecked(belief, &mut pred);
         let mut gammas = ws.checkout(p.pomdp.n_observations());
-        branch_masses(p.pomdp.observation_matrix(action), &pred, &mut gammas);
+        p.pomdp
+            .observation_matrix(action)
+            .matvec_transpose_into_unchecked(&pred, &mut gammas);
         let obs_t = p.pomdp.observation_transpose(action);
         let mut post = ws.checkout(n);
         let mut aborted = false;
@@ -1582,6 +1571,12 @@ mod tests {
         let mut mirrored_t = plain_t.clone();
         mirrored_t.enable_dense_rows();
         assert!(mirrored_t.has_dense_rows(), "some rows take the dense path");
+        let mut mirrored = obs.clone();
+        mirrored.enable_dense_rows();
+        assert!(
+            mirrored.has_dense_rows(),
+            "some states emit most observations"
+        );
         let mut out = vec![0.0; n];
         for trial in 0..200 {
             let mut pred: Vec<f64> = (0..n)
@@ -1595,12 +1590,14 @@ mod tests {
                 })
                 .collect();
             pred[5] = if trial % 2 == 0 { 1e-200 } else { 0.0 };
-            let mut gammas = vec![0.0; no];
-            branch_masses(&obs, &pred, &mut gammas);
-            for (o, g) in gammas.iter().enumerate() {
-                for t in [&plain_t, &mirrored_t] {
-                    let sum = t.row_scaled_into_unchecked(o, &pred, &mut out);
-                    assert_eq!(g.to_bits(), sum.to_bits(), "trial {trial}, o = {o}");
+            for m in [&obs, &mirrored] {
+                let mut gammas = vec![1.0; no];
+                m.matvec_transpose_into_unchecked(&pred, &mut gammas);
+                for (o, g) in gammas.iter().enumerate() {
+                    for t in [&plain_t, &mirrored_t] {
+                        let sum = t.row_scaled_into_unchecked(o, &pred, &mut out);
+                        assert_eq!(g.to_bits(), sum.to_bits(), "trial {trial}, o = {o}");
+                    }
                 }
             }
         }
