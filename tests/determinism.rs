@@ -12,7 +12,9 @@
 //!   widths, for random master seeds.
 //! * `bootstrap` (both variants, under eviction) and `bootstrap_par`
 //!   reproduce pinned hashes of their reports and final bounds, so a
-//!   change that moved every width the same way is still caught.
+//!   change that moved every width the same way is still caught; the
+//!   Random bootstrap does too on two generated corpus scenarios, with
+//!   and without eviction.
 //! * Every belief-tracking controller (and the two wrappers around the
 //!   bounded one) reproduces pinned campaign digests on EMN, in the
 //!   idealised world and in one with monitor dropout and corruption;
@@ -208,6 +210,67 @@ fn bootstrap_on_emn_matches_pinned_digests() {
             "{variant:?} bootstrap drifted from its pinned digest"
         );
     }
+}
+
+/// The transformed corpus scenario `name`, its RA-Bound seed and the
+/// Random-bootstrap config a pin runs it with: the first observe action
+/// conditions the initial belief, depth-1 trees, short episodes.
+fn corpus_bootstrap_setup(
+    name: &str,
+    iterations: usize,
+    vector_cap: Option<usize>,
+) -> (TerminatedModel, VectorSetBound, BootstrapConfig) {
+    let registry = bpr::scenario::builtin();
+    let scenario = registry.require(name).expect("builtin scenario");
+    let model = scenario.build().expect("scenario builds");
+    let transformed = model
+        .without_notification(scenario.operator_response_time())
+        .expect("transform");
+    let bound = ra_bound(transformed.pomdp(), &Default::default()).expect("RA-Bound");
+    let config = BootstrapConfig {
+        variant: BootstrapVariant::Random,
+        iterations,
+        depth: 1,
+        max_steps: 20,
+        vector_cap,
+        conditioning_action: *model.observe_actions().first().expect("observe action"),
+        ..BootstrapConfig::default()
+    };
+    (transformed, bound, config)
+}
+
+/// Pinned output of the Random bootstrap on two generated corpus
+/// scenarios, with and without a vector cap. The capped runs evict, and
+/// eviction reads the usage marks every backup records, so the pins
+/// cover the winning action's observation support as well as the
+/// hyperplanes.
+#[test]
+fn bootstrap_on_corpus_scenarios_matches_pinned_digests() {
+    let runs = [
+        ("web3tier-small", 8, None),
+        ("web3tier-small", 8, Some(6)),
+        ("cellfleet-mid", 8, None),
+        ("cellfleet-mid", 8, Some(3)),
+    ];
+    let digests = runs.map(|(name, iterations, vector_cap)| {
+        let (model, mut bound, config) = corpus_bootstrap_setup(name, iterations, vector_cap);
+        let mut rng = StdRng::seed_from_u64(2006);
+        let report = bootstrap(&model, &mut bound, &config, &mut rng).expect("bootstrap runs");
+        if let Some(cap) = vector_cap {
+            assert!(bound.len() <= cap, "{name}: the cap holds");
+        }
+        bootstrap_digest(&report, &bound)
+    });
+    assert_eq!(
+        digests,
+        [
+            18384502284129303956u64,
+            7720202975108723489u64,
+            3285983371324707993u64,
+            14389682346431380259u64,
+        ],
+        "a corpus bootstrap drifted from its pinned digest ({runs:?})"
+    );
 }
 
 /// Pinned output of the batch-synchronous bootstrap on EMN at batch 3,
