@@ -64,6 +64,13 @@ cargo run -p bpr-bench --bin certify --release -- \
 echo "==> certified bounds unchanged (the regenerated CERTIFY.json must equal the committed one)"
 git diff --exit-code -- CERTIFY.json
 
+echo "==> fig5 (Random and Average bootstrap curves on EMN, paper Fig. 5)"
+cargo run -p bpr-bench --bin fig5 --release -- \
+  --iterations 20 --seed 7 --csv fig5.csv
+
+echo "==> bootstrap curves unchanged (the regenerated fig5.csv must equal the committed one)"
+git diff --exit-code -- fig5.csv
+
 echo "==> serve chaos-soak smoke (bursty load + fault injection + forced kill/resume, plus a loopback-socket network-chaos soak on web3tier-small; fails on incident loss, divergence, or transport-accounting violations)"
 cargo run -p bpr-bench --bin serve --release -- \
   --ticks 120 --kill-round 25 --net-scenarios web3tier-small --net-ticks 48 \

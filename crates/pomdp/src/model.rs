@@ -5,6 +5,7 @@ use bpr_linalg::CsrMatrix;
 use bpr_mdp::{ActionId, Mdp, StateId};
 use rand::Rng;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of an observation (an index into the observation set).
 ///
@@ -70,6 +71,11 @@ pub struct Pomdp {
     /// `o` is the sparse diagonal of the fused posterior operator
     /// `τ_{a,o}` (see [`Pomdp::observation_transpose`]).
     observations_t: Vec<CsrMatrix>,
+    /// `observation_row_mass[i]` summarises the rows of
+    /// `observations[i]` for the backup's per-action upper bound; filled
+    /// on the first backup, so models that are never backed up (the
+    /// notified ones, most set-up copies) do not hold it.
+    observation_row_mass: RowMassCache,
     observation_labels: Vec<String>,
     /// Content hash over dynamics, rewards, and observations, computed
     /// once at build time (see [`Pomdp::fingerprint`]).
@@ -172,6 +178,23 @@ impl Pomdp {
         self.sparse_branches
     }
 
+    /// The index of `action`'s observation matrix in the model's table
+    /// of distinct ones; actions with equal indices share the matrix.
+    pub(crate) fn observation_class(&self, action: ActionId) -> usize {
+        self.obs_of[action.index()]
+    }
+
+    /// The row masses of each distinct observation matrix, indexed by
+    /// [`Pomdp::observation_class`].
+    pub(crate) fn observation_row_masses(&self) -> &[ObservationRowMass] {
+        self.observation_row_mass.0.get_or_init(|| {
+            self.observations
+                .iter()
+                .map(ObservationRowMass::of)
+                .collect()
+        })
+    }
+
     /// How many distinct observation matrices the model stores.
     #[cfg(test)]
     pub(crate) fn n_distinct_observation_matrices(&self) -> usize {
@@ -259,6 +282,47 @@ impl Pomdp {
             }
         }
         last.expect("observation distribution must be non-empty")
+    }
+}
+
+/// Row masses of one observation matrix: `positive[s'] = Σ_o max(q, 0)`
+/// over the stored entries `q = q(o|s', a)` of row `s'`, and the largest
+/// negative mass of any row, `negative = max_s' Σ_o max(−q, 0)`. The
+/// builder accepts rows summing to within `1e-9` of 1 and entries down
+/// to `−1e-9`, so neither is assumed to be exactly 1 or 0.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ObservationRowMass {
+    pub(crate) positive: Vec<f64>,
+    pub(crate) negative: f64,
+}
+
+/// The lazily filled row-mass table. It is a function of the
+/// observation matrices, so it takes no part in comparing models.
+#[derive(Debug, Clone, Default)]
+struct RowMassCache(OnceLock<Vec<ObservationRowMass>>);
+
+impl PartialEq for RowMassCache {
+    fn eq(&self, _: &RowMassCache) -> bool {
+        true
+    }
+}
+
+impl ObservationRowMass {
+    fn of(m: &CsrMatrix) -> ObservationRowMass {
+        let mut positive = vec![0.0; m.nrows()];
+        let mut negative = 0.0f64;
+        for (s, p) in positive.iter_mut().enumerate() {
+            let mut n = 0.0;
+            for (_, q) in m.row(s) {
+                if q > 0.0 {
+                    *p += q;
+                } else {
+                    n -= q;
+                }
+            }
+            negative = negative.max(n);
+        }
+        ObservationRowMass { positive, negative }
     }
 }
 
@@ -442,6 +506,7 @@ impl PomdpBuilder {
             obs_of,
             observations,
             observations_t,
+            observation_row_mass: RowMassCache::default(),
             observation_labels: self.observation_labels.clone(),
             fingerprint,
             sparse_branches,

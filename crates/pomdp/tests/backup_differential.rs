@@ -1,7 +1,10 @@
 //! Differential test of the incremental backup (paper Eq. 7) on the
-//! registry's small scenarios: the library kernel against the dense
-//! reference in `reference/mod.rs`, bit for bit, while the RA-Bound of
-//! each no-notification model grows to about 50 hyperplanes.
+//! registry's scenarios: the library kernel against the dense reference
+//! in `reference/mod.rs`, bit for bit, while the RA-Bound of each
+//! no-notification model grows to about 50 hyperplanes (8 on the
+//! 10³-state cellfleet-mid, where the dense reference is slow), both
+//! undiscounted and at β = 0.9 (where the set soon collapses to a few
+//! dominating vectors and a run stops at its backup cap instead).
 
 use bpr_core::scenario::Scenario;
 use bpr_core::TerminatedModel;
@@ -12,19 +15,18 @@ use std::sync::OnceLock;
 
 mod reference;
 
-/// Hyperplane count a run grows the bound to.
-const TARGET_VECTORS: usize = 50;
-/// Backup cap per run, in case the set stops growing.
-const MAX_BACKUPS: usize = 150;
-
 struct Fixture {
     model: TerminatedModel,
+    /// Hyperplane count a run grows the bound to.
+    target_vectors: usize,
+    /// Backup cap per run, in case the set stops growing.
+    max_backups: usize,
     /// Probe beliefs, uniform fault belief first, then fault vertices.
     probes: Vec<Belief>,
     faults: Vec<StateId>,
 }
 
-fn fixture(scenario: &dyn Scenario) -> Fixture {
+fn fixture(scenario: &dyn Scenario, target_vectors: usize, max_backups: usize) -> Fixture {
     let base = scenario.build().expect("scenario builds");
     let model = base
         .without_notification(scenario.operator_response_time())
@@ -37,6 +39,8 @@ fn fixture(scenario: &dyn Scenario) -> Fixture {
     let faults = model.fault_states();
     Fixture {
         model,
+        target_vectors,
+        max_backups,
         probes,
         faults,
     }
@@ -46,18 +50,22 @@ fn fixtures() -> &'static [(&'static str, Fixture)] {
     static FIXTURES: OnceLock<Vec<(&'static str, Fixture)>> = OnceLock::new();
     FIXTURES.get_or_init(|| {
         vec![
-            ("emn", fixture(&bpr_emn::EmnScenario::default())),
+            ("emn", fixture(&bpr_emn::EmnScenario::default(), 50, 150)),
             (
                 "two-server",
-                fixture(&bpr_emn::TwoServerScenario::default()),
+                fixture(&bpr_emn::TwoServerScenario::default(), 50, 150),
             ),
             (
                 "web3tier-small",
-                fixture(&bpr_topo::corpus::web3tier_small()),
+                fixture(&bpr_topo::corpus::web3tier_small(), 50, 150),
             ),
             (
                 "cellfleet-shared-rack",
-                fixture(&bpr_topo::corpus::cellfleet_shared_rack()),
+                fixture(&bpr_topo::corpus::cellfleet_shared_rack(), 50, 150),
+            ),
+            (
+                "cellfleet-mid",
+                fixture(&bpr_topo::corpus::cellfleet_mid(), 8, 16),
             ),
         ]
     })
@@ -84,18 +92,25 @@ fn belief_at(f: &Fixture, k: usize, picks: &[(usize, f64)]) -> Belief {
     }
 }
 
-fn differential_run(name: &str, f: &Fixture, picks: &[(usize, f64)]) {
+fn differential_run(name: &str, f: &Fixture, picks: &[(usize, f64)], beta: f64) {
     let pomdp = f.model.pomdp();
     let mut set = ra_bound(pomdp, &Default::default()).expect("RA exists");
-    let mut k = 0;
-    while set.len() < TARGET_VECTORS && k < MAX_BACKUPS {
-        reference::backup_both(pomdp, &mut set, &belief_at(f, k, picks), 1.0);
+    let (mut k, mut added) = (0, 0);
+    while set.len() < f.target_vectors && k < f.max_backups {
+        added += usize::from(
+            reference::backup_both(pomdp, &mut set, &belief_at(f, k, picks), beta).added,
+        );
         k += 1;
     }
     assert!(
-        set.len() >= 2,
-        "{name}: the bound never grew ({} backups)",
-        k
+        added > 0,
+        "{name} at β = {beta}: no backup was accepted ({k} backups)"
+    );
+    // Discounted backups soon dominate the whole set, so only the
+    // undiscounted runs must leave it larger than the RA-Bound.
+    assert!(
+        beta < 1.0 || set.len() >= 2,
+        "{name}: the bound never grew ({k} backups)"
     );
 }
 
@@ -107,7 +122,9 @@ proptest! {
         picks in proptest::collection::vec((0usize..1024, 0.05f64..1.0), 6),
     ) {
         for (name, f) in fixtures() {
-            differential_run(name, f, &picks);
+            for beta in [1.0, 0.9] {
+                differential_run(name, f, &picks, beta);
+            }
         }
     }
 }

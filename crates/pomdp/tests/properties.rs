@@ -4,7 +4,7 @@
 
 use bpr_mdp::{ActionId, MdpBuilder, StateId};
 use bpr_pomdp::backup::incremental_backup;
-use bpr_pomdp::bounds::{ra_bound, ValueBound};
+use bpr_pomdp::bounds::{ra_bound, ValueBound, VectorSetBound};
 use bpr_pomdp::{tree, Belief, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
 
@@ -98,6 +98,74 @@ fn arb_sparse_pomdp() -> impl Strategy<Value = Pomdp> {
         })
 }
 
+/// `p` rebuilt with the actions `actions` (each an index into `p`'s,
+/// so an index may repeat) and every observation probability scaled by
+/// `scale`.
+fn rebuilt(p: &Pomdp, actions: &[usize], scale: f64) -> Pomdp {
+    let n = p.n_states();
+    let mut b = MdpBuilder::new(n, actions.len());
+    for (a, &from) in actions.iter().enumerate() {
+        for s in 0..n {
+            for (s2, q) in p.mdp().successors(s, from) {
+                b.transition(s, a, s2, q);
+            }
+            b.reward(s, a, p.mdp().reward(s, from));
+        }
+    }
+    let mut pb = PomdpBuilder::new(b.build().expect("mdp builds"), p.n_observations());
+    for (a, &from) in actions.iter().enumerate() {
+        for s in 0..n {
+            for (o, q) in p.observations_on_entering(s, from) {
+                pb.observation(s, a, o, q * scale);
+            }
+        }
+    }
+    pb.build().expect("pomdp builds")
+}
+
+/// A random model whose last action is a copy of action `twin`, so
+/// every backup meets a pair with equal bounds and equal values.
+/// Returns the model and `twin`.
+fn arb_twin_pomdp() -> impl Strategy<Value = (Pomdp, usize)> {
+    (prop_oneof![arb_pomdp(), arb_sparse_pomdp()], 0usize..4).prop_map(
+        |(p, pick): (Pomdp, usize)| {
+            let twin = pick % p.n_actions();
+            let actions: Vec<usize> = (0..p.n_actions()).chain([twin]).collect();
+            (rebuilt(&p, &actions, 1.0), twin)
+        },
+    )
+}
+
+/// A random model whose observation rows all sum to `1 − 5e-10`, off
+/// unit mass by half the builder's tolerance, so a row mass taken to be
+/// 1 would overstate every row.
+fn arb_short_rows_pomdp() -> impl Strategy<Value = Pomdp> {
+    prop_oneof![arb_pomdp(), arb_sparse_pomdp()].prop_map(|p: Pomdp| {
+        let actions: Vec<usize> = (0..p.n_actions()).collect();
+        rebuilt(&p, &actions, 1.0 - 5e-10)
+    })
+}
+
+/// 2–5 random hyperplanes over up to 6 states with entries in
+/// `[-10, -0.1)` (all negative, as a cost bound's) or `[-10, 10)`.
+fn arb_hyperplanes() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (
+        proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 6), 2..=5),
+        0usize..2,
+    )
+        .prop_map(|(units, negative)| {
+            let (low, width) = if negative == 1 {
+                (-10.0, 9.9)
+            } else {
+                (-10.0, 20.0)
+            };
+            units
+                .iter()
+                .map(|v| v.iter().map(|&u| low + width * u).collect())
+                .collect()
+        })
+}
+
 /// One backup point of a differential run: a vertex, the uniform
 /// belief, a dense mixture, or a mixture over a random subset of
 /// states (which leaves some observations unreachable).
@@ -136,6 +204,25 @@ fn differential_run(p: &Pomdp, steps: &[(usize, usize, Vec<f64>)], beta: f64) {
         }
         reference::backup_both(p, &mut set, &step_belief(n, *kind, *index, weights), beta);
     }
+}
+
+/// Backs `set` up along `steps`, checking every backup against the
+/// dense reference bit for bit; returns the winning actions.
+fn differential_run_from(
+    p: &Pomdp,
+    set: &mut VectorSetBound,
+    steps: &[(usize, usize, Vec<f64>)],
+    beta: f64,
+) -> Vec<usize> {
+    let n = p.n_states();
+    steps
+        .iter()
+        .take(30)
+        .map(|(kind, index, weights)| {
+            let belief = step_belief(n, *kind, *index, weights);
+            reference::backup_both(p, set, &belief, beta).action.index()
+        })
+        .collect()
 }
 
 fn arb_steps() -> impl Strategy<Value = Vec<(usize, usize, Vec<f64>)>> {
@@ -255,5 +342,43 @@ proptest! {
         discounted in 0usize..2,
     ) {
         differential_run(&p, &steps, if discounted == 1 { 0.9 } else { 1.0 });
+    }
+
+    /// Of two identical actions the lower index wins, with the same
+    /// vector and usage marks as the reference, which scores every
+    /// action in order.
+    #[test]
+    fn identical_actions_resolve_to_the_lower_index(
+        (p, twin) in arb_twin_pomdp(),
+        steps in arb_steps(),
+        discounted in 0usize..2,
+    ) {
+        let mut set = ra_bound(&p, &Default::default()).expect("RA exists");
+        let beta = if discounted == 1 { 0.9 } else { 1.0 };
+        let winners = differential_run_from(&p, &mut set, &steps, beta);
+        let copy = p.n_actions() - 1;
+        prop_assert!(
+            !winners.contains(&copy),
+            "the copy of action {twin} won a backup: {winners:?}"
+        );
+    }
+
+    /// Rows short of unit mass, under random hyperplane sets (half of
+    /// them all-negative, as a cost bound's), undiscounted and at
+    /// β = 0.9.
+    #[test]
+    fn backup_matches_dense_reference_on_rows_short_of_unit_mass(
+        p in arb_short_rows_pomdp(),
+        vectors in arb_hyperplanes(),
+        steps in arb_steps(),
+        discounted in 0usize..2,
+    ) {
+        let n = p.n_states();
+        let mut set = VectorSetBound::new(n);
+        for v in &vectors {
+            set.add_vector(v[..n].to_vec()).expect("dimensions match");
+        }
+        let beta = if discounted == 1 { 0.9 } else { 1.0 };
+        differential_run_from(&p, &mut set, &steps, beta);
     }
 }
