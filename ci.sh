@@ -45,7 +45,7 @@ cargo run -p bpr-bench --bin planning --release -- \
   --decisions 40 --depth 2 --threads 1,2,4 \
   --min-speedup 5 --out "$out/BENCH_planning_emn.json"
 
-echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, best of five interleaved passes per side, on divergence -- branch-and-bound on the sparse layout included -- or on steady-state allocations; cache replay is reported, not gated)"
+echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, best of five interleaved passes per side, on divergence -- branch-and-bound on the sparse layout included -- or on steady-state allocations of the cold and branch-and-bound paths)"
 cargo run -p bpr-bench --bin planning --release -- \
   --scenario cellfleet-mid --decisions 5 --depth 1 --threads 1,2 \
   --min-speedup 1.5 --out "$out/BENCH_planning_cellfleet-mid.json"

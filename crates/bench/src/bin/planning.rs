@@ -1,33 +1,29 @@
 //! Planning-throughput benchmark for the lumped + fused tree-expansion
 //! kernel: measures decisions/sec and nodes/sec on any registry
 //! scenario (default: the paper's EMN model) for the retained legacy
-//! path, the fused workspace path on the lumped quotient (cold: cache
-//! cleared per decision, so every decision runs the kernel), the same
-//! path under one cache epoch (cache replay: the benchmark repeats one
-//! belief, so after warm-up every decision is answered from
-//! cross-decision cache entries and measures the cache, not the
-//! kernel), branch-and-bound on the quotient with a QMDP upper bound
-//! (cold), and root-parallel expansion at several widths — all in the
-//! same run, so the reported speedups compare like with like.
+//! path, the fused workspace path on the lumped quotient (cold: every
+//! decision opens with an empty cache and runs the kernel),
+//! branch-and-bound on the quotient with a QMDP upper bound (cold), and
+//! root-parallel expansion at several widths — all in the same run, so
+//! the reported speedups compare like with like.
 //!
-//! Six properties gate the run (exit nonzero on violation):
+//! Five properties gate the run (exit nonzero on violation):
 //!
 //! 1. the fused decision on the lumped quotient is **value-identical**
 //!    to the legacy decision on the full model — bit-identical when the
 //!    lumping is the identity, within 1e-9 otherwise (same action, same
 //!    node count, matching root and per-action values);
-//! 2. cache-replay decisions are bit-identical to cold;
-//! 3. root-parallel decisions are bit-identical to sequential at every
+//! 2. root-parallel decisions are bit-identical to sequential at every
 //!    requested width;
-//! 4. steady-state fused decisions, branch-and-bound included, perform
+//! 3. steady-state fused decisions, branch-and-bound included, perform
 //!    **zero heap allocations** (counted by a tallying global allocator
 //!    in this binary only);
-//! 5. the cold speedup over legacy is at least `--min-speedup`. The
+//! 4. the cold speedup over legacy is at least `--min-speedup`. The
 //!    legacy and cold paths are timed in interleaved passes (five, or
 //!    one per decision if there are fewer), and each side's rate is its
 //!    best pass, so host drift between the two sides cannot move the
 //!    ratio much;
-//! 6. the branch-and-bound decision on the quotient is bit-identical to
+//! 5. the branch-and-bound decision on the quotient is bit-identical to
 //!    the legacy branch-and-bound on the quotient.
 //!
 //! Results land in `BENCH_planning_<scenario>.json`.
@@ -49,7 +45,7 @@ use bpr_mdp::value_iteration::Discount;
 use bpr_par::WorkPool;
 use bpr_pomdp::bounds::{qmdp_bound, ra_bound};
 use bpr_pomdp::tree::Decision;
-use bpr_pomdp::{tree, Belief, CacheEpoch, PlanWorkspace};
+use bpr_pomdp::{tree, Belief, PlanWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -219,8 +215,9 @@ fn main() {
 
     // --- Legacy path (per-node successor rebuild, fresh allocations)
     // on the full model, the before side of every speedup, against the
-    // fused workspace path on the quotient with the cache cleared per
-    // decision (cold), which isolates the lump + SIMD kernel speedup.
+    // fused workspace path on the quotient (cold: each decision opens
+    // with an empty cache), which isolates the lump + SIMD kernel
+    // speedup.
     // The two sides run in interleaved passes and each reports its best
     // pass, so host drift between them does not move the ratio.
     let legacy_ref = tree::legacy::expand_with_cutoff(pomdp, &belief, depth, &bound, 1.0, cutoff)
@@ -232,7 +229,7 @@ fn main() {
             .expect("fused expansion succeeds");
     }
     check_value_identity(&legacy_ref, ws.decision(), identity);
-    let cold_ref = ws.decision().clone();
+    ws.reset_stats();
     let passes = TIMING_PASSES.min(decisions);
     let mut legacy: Option<PathResult> = None;
     let mut fused_cold: Option<PathResult> = None;
@@ -274,56 +271,10 @@ fn main() {
         fused_cold.decisions_per_sec, fused_cold.nodes_per_sec, cold_allocs, decisions
     );
 
-    // --- Fused workspace path, epoch-keyed (cache replay): the cache
-    // persists across decisions under one (model fingerprint, bound
-    // generation, β, γ) epoch, and every decision repeats the same
-    // belief, so after warm-up each one replays the root entries.
-    let epoch = CacheEpoch {
-        model_fingerprint: qpomdp.fingerprint(),
-        bound_generation: qbound.generation(),
-        beta_bits: 1.0f64.to_bits(),
-        cutoff_bits: cutoff.to_bits(),
-    };
-    for _ in 0..2 {
-        tree::expand_with_workspace_epoch(
-            qpomdp, &qbelief, depth, &qbound, 1.0, cutoff, epoch, &mut ws,
-        )
-        .expect("epoch expansion succeeds");
-    }
-    if ws.decision() != &cold_ref {
-        eprintln!(
-            "DIVERGENCE: cache-replay decision differs from cold\n  \
-             cold:   {cold_ref:?}\n  replay: {:?}",
-            ws.decision()
-        );
-        std::process::exit(1);
-    }
-    ws.reset_stats();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    let mut replay_nodes = 0usize;
-    for _ in 0..decisions {
-        tree::expand_with_workspace_epoch(
-            qpomdp, &qbelief, depth, &qbound, 1.0, cutoff, epoch, &mut ws,
-        )
-        .expect("epoch expansion succeeds");
-        replay_nodes += ws.decision().nodes_expanded;
-    }
-    let replay_wall = start.elapsed().as_secs_f64();
-    let steady_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let replay = rates(decisions, replay_nodes, replay_wall);
-    let allocs_per_decision = steady_allocs as f64 / decisions as f64;
     let stats = ws.stats().clone();
     println!(
-        "  cache replay:  {:.1} decisions/sec, {:.0} nodes/sec, {} allocations over {} decisions, \
-         cache {}/{} hits/misses ({} cross-decision)",
-        replay.decisions_per_sec,
-        replay.nodes_per_sec,
-        steady_allocs,
-        decisions,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cross_decision_hits
+        "  cold cache: {}/{} hits/misses",
+        stats.cache_hits, stats.cache_misses
     );
 
     // --- Branch-and-bound on the quotient with a QMDP upper bound, cold
@@ -367,21 +318,16 @@ fn main() {
         bb.decisions_per_sec, bb.nodes_per_sec, bb_allocs, decisions
     );
 
-    if cold_allocs != 0 || steady_allocs != 0 || bb_allocs != 0 {
+    if cold_allocs != 0 || bb_allocs != 0 {
         eprintln!(
-            "ALLOCATION GATE: {cold_allocs} cold + {steady_allocs} cache-replay + {bb_allocs} \
-             branch-and-bound heap allocations in {decisions} steady-state fused decisions each \
-             (expected 0)"
+            "ALLOCATION GATE: {cold_allocs} cold + {bb_allocs} branch-and-bound heap allocations \
+             in {decisions} steady-state fused decisions each (expected 0)"
         );
         std::process::exit(1);
     }
 
     let cold_speedup = fused_cold.decisions_per_sec / legacy.decisions_per_sec;
-    let replay_speedup = replay.decisions_per_sec / legacy.decisions_per_sec;
-    println!(
-        "  speedup over legacy: {cold_speedup:.2}x cold (the kernel), \
-         {replay_speedup:.2}x cache replay (not the kernel)"
-    );
+    println!("  speedup over legacy: {cold_speedup:.2}x cold (the kernel)");
     if cold_speedup < min_speedup {
         eprintln!("SPEEDUP GATE: cold {cold_speedup:.2}x < required {min_speedup:.2}x");
         std::process::exit(1);
@@ -442,27 +388,24 @@ fn main() {
     json.push_str(",\n  ");
     write_path(&mut json, "fused_cold", &fused_cold);
     json.push_str(",\n  ");
-    write_path(&mut json, "cache_replay", &replay);
-    json.push_str(",\n  ");
     write_path(&mut json, "branch_and_bound_cold", &bb);
     let _ = write!(
         json,
-        ",\n  \"allocations_per_decision\": {allocs_per_decision:.3}, \
+        ",\n  \"allocations_per_decision\": {:.3}, \
          \"branch_and_bound_allocations_per_decision\": {:.3},\n  \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"cross_decision_hits\": {},\n    \
+         \"cache\": {{\"hits\": {}, \"misses\": {},\n    \
          \"hits_by_depth\": ",
+        cold_allocs as f64 / decisions as f64,
         bb_allocs as f64 / decisions as f64,
         stats.cache_hits,
         stats.cache_misses,
-        stats.cross_decision_hits
     );
     write_u64s(&mut json, &stats.cache_hits_by_depth);
     json.push_str(", \"misses_by_depth\": ");
     write_u64s(&mut json, &stats.cache_misses_by_depth);
     let _ = write!(
         json,
-        "}},\n  \"speedup_cold_over_legacy\": {cold_speedup:.3}, \
-         \"speedup_cache_replay_over_legacy\": {replay_speedup:.3},\n  \
+        "}},\n  \"speedup_cold_over_legacy\": {cold_speedup:.3},\n  \
          \"parallel\": {parallel_rows}\n}}\n",
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");

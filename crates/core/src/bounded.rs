@@ -7,7 +7,7 @@ use bpr_mdp::{ActionId, StateId};
 use bpr_par::WorkPool;
 use bpr_pomdp::backup::incremental_backup;
 use bpr_pomdp::bounds::{ra_bound, VectorSetBound};
-use bpr_pomdp::{tree, Belief, CacheEpoch, ObservationId, PlanStats, PlanWorkspace};
+use bpr_pomdp::{tree, Belief, ObservationId, PlanStats, PlanWorkspace};
 
 /// Configuration of a [`BoundedController`].
 #[derive(Debug, Clone, PartialEq)]
@@ -271,25 +271,13 @@ impl RecoveryController for BoundedController {
                 &parallel
             }
             None => {
-                // Epoch-keyed cache: while the model, the bound's
-                // hyperplanes, and the planning parameters are
-                // unchanged, subtree values persist across decisions
-                // (an online backup that actually changes the bound
-                // bumps its generation and invalidates everything).
-                let epoch = CacheEpoch {
-                    model_fingerprint: self.model.pomdp().fingerprint(),
-                    bound_generation: self.bound.generation(),
-                    beta_bits: self.config.beta.to_bits(),
-                    cutoff_bits: self.config.gamma_cutoff.to_bits(),
-                };
-                tree::expand_with_workspace_epoch(
+                tree::expand_with_workspace(
                     self.model.pomdp(),
                     belief,
                     self.config.depth,
                     &self.bound,
                     self.config.beta,
                     self.config.gamma_cutoff,
-                    epoch,
                     &mut self.workspace,
                 )
                 .map_err(Error::Pomdp)?;

@@ -9,21 +9,34 @@
 //! [`criterion_group!`] / [`criterion_main!`] macros.
 //!
 //! Differences from real criterion: no statistical analysis, warm-up
-//! scheduling, or HTML reports — each benchmark runs `sample_size`
-//! timed samples and prints the median per-iteration time. Because the
-//! benches keep `test = true` (cargo's default), `cargo test` also
+//! scheduling, or HTML reports — each benchmark first doubles the
+//! number of iterations per sample until one sample lasts at least
+//! [`MIN_SAMPLE_TIME`], then runs `sample_size` timed samples of that
+//! many iterations and prints the median per-iteration time. Because
+//! the benches keep `test = true` (cargo's default), `cargo test` also
 //! executes each bench entry point; in that mode the harness detects
 //! the absence of the `--bench` flag and smoke-runs every benchmark
-//! once, so benches stay compile- and run-checked by the tier-1 suite.
+//! once, a single sample of a single iteration, so benches stay
+//! compile- and run-checked by the tier-1 suite.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// How `iter_batched` amortises setup cost. This stand-in times each
-/// batch individually, so the variants only document intent.
+/// The least time one timed sample lasts under `cargo bench`: a routine
+/// much shorter than the timer's resolution and the host's jitter is
+/// timed over as many iterations as fill it.
+pub const MIN_SAMPLE_TIME: Duration = Duration::from_millis(1);
+
+/// The most iterations one sample runs, whatever the routine costs.
+const MAX_ITERATIONS: u32 = 1 << 20;
+
+/// How `iter_batched` amortises setup cost. This stand-in builds every
+/// input of a sample before timing it, so the variants only document
+/// intent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
     /// Small per-iteration inputs; cheap to regenerate.
@@ -59,47 +72,75 @@ impl fmt::Display for BenchmarkId {
 /// The timing handle handed to benchmark closures.
 pub struct Bencher {
     samples: u32,
-    /// Median per-iteration time, filled in by the `iter*` methods.
-    elapsed: Option<Duration>,
+    /// Whether to calibrate the iterations per sample (under
+    /// `cargo bench`) or run one (the `cargo test` smoke).
+    calibrate: bool,
+    /// Median per-iteration time and the iterations per sample, filled
+    /// in by the `iter*` methods.
+    elapsed: Option<(Duration, u32)>,
 }
 
 impl Bencher {
     fn new(samples: u32) -> Bencher {
         Bencher {
             samples,
+            calibrate: running_as_bench(),
             elapsed: None,
         }
     }
 
-    /// Times `routine`, running it once per sample.
+    /// Times `routine`; see [`Bencher::iter_batched`].
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let mut times = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            let out = routine();
-            times.push(start.elapsed());
-            drop(out);
-        }
-        self.elapsed = Some(median(&mut times));
+        self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
     }
 
     /// Times `routine` on fresh input from `setup`, excluding the
-    /// setup cost from the measurement.
+    /// setup cost and the dropping of outputs from the measurement.
+    /// Under `cargo bench` each sample runs as many iterations as last
+    /// [`MIN_SAMPLE_TIME`] and reports the time per iteration.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        let mut times = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
-            let input = setup();
-            let start = Instant::now();
-            let out = routine(input);
-            times.push(start.elapsed());
-            drop(out);
-        }
-        self.elapsed = Some(median(&mut times));
+        let iterations = if self.calibrate {
+            calibrate(&mut setup, &mut routine)
+        } else {
+            1
+        };
+        let mut times: Vec<Duration> = (0..self.samples)
+            .map(|_| time_batch(iterations, &mut setup, &mut routine) / iterations)
+            .collect();
+        self.elapsed = Some((median(&mut times), iterations));
     }
+}
+
+/// The iterations per sample: doubled from 1 until one batch lasts
+/// [`MIN_SAMPLE_TIME`] (the batches double as warm-up).
+fn calibrate<I, O>(setup: &mut impl FnMut() -> I, routine: &mut impl FnMut(I) -> O) -> u32 {
+    let mut iterations = 1;
+    while iterations < MAX_ITERATIONS && time_batch(iterations, setup, routine) < MIN_SAMPLE_TIME {
+        iterations *= 2;
+    }
+    iterations
+}
+
+/// Times `iterations` runs of `routine`, each on a fresh input from
+/// `setup`; building the inputs and dropping the outputs is not timed.
+fn time_batch<I, O>(
+    iterations: u32,
+    setup: &mut impl FnMut() -> I,
+    routine: &mut impl FnMut(I) -> O,
+) -> Duration {
+    let inputs: Vec<I> = (0..iterations).map(|_| setup()).collect();
+    let mut outputs = Vec::with_capacity(inputs.len());
+    let start = Instant::now();
+    for input in inputs {
+        outputs.push(black_box(routine(input)));
+    }
+    let elapsed = start.elapsed();
+    drop(outputs);
+    elapsed
 }
 
 fn median(times: &mut [Duration]) -> Duration {
@@ -107,9 +148,9 @@ fn median(times: &mut [Duration]) -> Duration {
     times[times.len() / 2]
 }
 
-fn report(name: &str, elapsed: Option<Duration>) {
+fn report(name: &str, elapsed: Option<(Duration, u32)>) {
     match elapsed {
-        Some(t) => println!("bench: {name:<50} median {t:>12.3?}"),
+        Some((t, n)) => println!("bench: {name:<50} median {t:>12.3?} ({n} iterations/sample)"),
         None => println!("bench: {name:<50} (no measurement)"),
     }
 }
@@ -248,6 +289,25 @@ mod tests {
         });
         group.bench_function("plain", |b| b.iter(|| sum_to(10)));
         group.finish();
+    }
+
+    #[test]
+    fn calibration_fills_a_sample_and_the_smoke_runs_once() {
+        let mut calls = 0u32;
+        let iterations = calibrate(&mut || (), &mut |()| {
+            calls += 1;
+            std::thread::sleep(Duration::from_micros(300));
+        });
+        // A sleep lasts at least its request, so 4 iterations fill 1 ms.
+        assert!(iterations <= 4, "{iterations}");
+        assert_eq!(calls, 2 * iterations - 1, "every batch ran in full");
+        // Under `cargo test` a bencher runs one sample of one iteration.
+        let mut b = Bencher::new(1);
+        assert!(!b.calibrate);
+        let mut runs = 0;
+        b.iter(|| runs += 1);
+        assert_eq!(runs, 1);
+        assert_eq!(b.elapsed.map(|(_, n)| n), Some(1));
     }
 
     #[test]

@@ -60,25 +60,24 @@ const PRUNE_TOLERANCE: f64 = 1e-9;
 /// # Action pruning
 ///
 /// With the envelopes `U(s) = max_v V_v(s)` and `M(s) = max_v |V_v(s)|`
-/// of the set, the row masses `ρ⁺(s') = Σ_o max(q(o|s',a), 0)` and the
-/// largest negative row mass `ν = max_s' Σ_o max(−q(o|s',a), 0)`, every
-/// choice of hyperplanes gives
-/// `w(s') = Σ_o q(o|s',a)·V_{choice(o)}(s') ≤ ρ⁺(s')·U(s') + ν·M(s')`,
-/// and `π·P_a w = pred_a·w` with `pred_a = P_aᵀπ ≥ 0`. So for `β ≥ 0`
+/// of the set and the row masses `ρ(s') = Σ_o q(o|s',a)` (the builder
+/// stores only positive `q`), every choice of hyperplanes gives
+/// `w(s') = Σ_o q(o|s',a)·V_{choice(o)}(s') ≤ ρ(s')·U(s')`, and
+/// `π·P_a w = pred_a·w` with `pred_a = P_aᵀπ ≥ 0`. So for `β ≥ 0`
 ///
-/// `value_a = π·b_a ≤ ub_a = π·r_a + β·pred_a·(ρ⁺∘U + ν·M)`.
+/// `value_a = π·b_a ≤ ub_a = π·r_a + β·pred_a·(ρ∘U)`.
 ///
-/// Neither mass is assumed to be 1 or 0: the builder accepts rows
-/// within `1e-9` of 1 and entries down to `−1e-9`, and `U` is negative
-/// for a cost bound, so `U` alone would undercut `ρ⁺∘U`. The actions
-/// are scored in descending `ub_a` (ties by index), and action `a` is
-/// skipped when `ub_a + tol_a < best`, the best value scored so far,
-/// with `tol_a = 1e-9·(π·|r_a| + β·pred_a·((ρ⁺ + ν)∘M))`.
+/// The mass is not assumed to be 1: the builder accepts rows within
+/// `1e-9` of 1, and `U` is negative for a cost bound, so `U` alone
+/// would undercut `ρ∘U`. The actions are scored in descending `ub_a`
+/// (ties by index), and action `a` is skipped when `ub_a + tol_a <
+/// best`, the best value scored so far, with
+/// `tol_a = 1e-9·(π·|r_a| + β·pred_a·(ρ∘M))`.
 ///
 /// Rounding: both `value_a` and `ub_a` are sums of at most
 /// `|O| + 2|S| + 4` rounded operations per term over the same
-/// magnitudes, `π·|r_a|` and `β·pred_a·((ρ⁺ + ν)∘M)` (`|w(s')|` is
-/// below `(ρ⁺(s') + ν)·M(s')`), so each computed side is within
+/// magnitudes, `π·|r_a|` and `β·pred_a·(ρ∘M)` (`|w(s')|` is below
+/// `ρ(s')·M(s')`), so each computed side is within
 /// `γ_k ≈ k·2⁻⁵³` of its exact value relative to the scale inside
 /// `tol_a`: below `2.3e-12` of it for `|S| + |O| ≤ 10⁴`, hundreds of
 /// times less than the `1e-9` margin. A computed `value_a` therefore
@@ -171,12 +170,12 @@ pub(crate) fn backup_counting_scored(
                 now += p * r;
                 now_scale += p * r.abs();
             }
-            // pred · (ρ⁺∘U + ν·M) and its scale pred · ((ρ⁺ + ν)∘M).
-            let (mut next, mut next_scale, nu) = (0.0, 0.0, mass.negative);
+            // pred · (ρ∘U) and its scale pred · (ρ∘M).
+            let (mut next, mut next_scale) = (0.0, 0.0);
             for s in 0..n {
                 let p = mass.positive[s];
-                next += pred[s] * (p * upper[s] + nu * magnitude[s]);
-                next_scale += pred[s] * ((p + nu) * magnitude[s]);
+                next += pred[s] * (p * upper[s]);
+                next_scale += pred[s] * (p * magnitude[s]);
             }
             *ub_a = now + beta * next;
             *tol_a = PRUNE_TOLERANCE * (now_scale + beta * next_scale);
@@ -480,14 +479,15 @@ mod tests {
     }
 
     #[test]
-    fn the_bound_covers_observation_rows_with_negative_entries() {
+    fn negative_observation_entries_are_dropped_before_the_backup() {
         // Entering state 0 under action 0 emits o0 and o1 with 0.5 +
         // 5.25e-9 each and o2..o11 with -1e-9 each (a row the builder
-        // accepts: it sums to 1 + 5e-10). The negative observations are
-        // unreachable, so they take the last hyperplane, -1 at state 0:
-        // w(0) = (1 + 10.5e-9) + 10e-9. Action 1 is worth 1 + 15e-9, more
-        // than the positive row mass alone (1 + 10.5e-9) would allow
-        // action 0, but less than its true value.
+        // accepts: it sums to 1 + 5e-10). The builder stores only o0
+        // and o1, so action 0 is worth w(0) = 1 + 10.5e-9, its row mass
+        // times the best plane there, and action 1, worth 1 + 15e-9,
+        // wins. Had the negative entries been kept, they would have
+        // added 10e-9 through the last plane (-1 at state 0) and
+        // action 0 would have won.
         let q = 0.5 + 5.25e-9;
         let row: Vec<(usize, usize, f64)> = [(0, 0, q), (0, 1, q)]
             .into_iter()
@@ -501,11 +501,14 @@ mod tests {
             &[(0, 1, 15e-9), (1, 1, 15e-9)],
             &[row, vec![(0, 0, 1.0), (1, 0, 1.0)]],
         );
+        let stored: Vec<(usize, f64)> = p.observation_matrix(0).row(0).collect();
+        assert_eq!(stored, vec![(0, q), (1, q)]);
         let mut set = set_of(&[vec![1.0, -1.0], vec![-1.0, 1.0]]);
-        let (out, _) =
+        let (out, scored) =
             backup_counting_scored(&p, &mut set, &Belief::point(2, 0.into()), 1.0).unwrap();
-        assert_eq!(out.action.index(), 0);
-        assert!(out.vector[0] > 1.0 + 20e-9, "{:?}", out.vector);
+        assert_eq!(out.action.index(), 1);
+        assert_eq!(out.vector[0], 1.0 + 15e-9, "{:?}", out.vector);
+        assert_eq!(scored, 1, "action 0's bound (1 + 10.5e-9) is below");
     }
 
     #[test]

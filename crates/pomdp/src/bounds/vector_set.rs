@@ -8,9 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Process-wide generation source: every hyperplane-set mutation draws
 /// a fresh value, so no two distinct bound states — even across clones
 /// mutating independently — ever share a generation. The counter's
-/// allocation order is scheduling-dependent, but generations only gate
-/// cross-decision cache reuse (exact-hit lookups return bit-identical
-/// values either way), so decisions never depend on it.
+/// allocation order is scheduling-dependent; no library code reads a
+/// generation, so decisions never depend on it.
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 
 fn next_generation() -> u64 {
@@ -46,15 +45,15 @@ pub struct VectorSetBound {
     /// How many times each vector was the argmax in `best_vector`.
     /// Used by finite-storage eviction (paper §4.3).
     usage: Vec<u64>,
-    /// Epoch token for cross-decision caches: changes exactly when the
-    /// hyperplane set changes (adds or evictions; usage-counter updates
-    /// leave values untouched and keep the generation).
+    /// Changes exactly when the hyperplane set changes (adds or
+    /// evictions; usage-counter updates leave values untouched and keep
+    /// the generation). See [`VectorSetBound::generation`].
     generation: u64,
 }
 
 /// Equality compares the bound's mathematical content (dimension,
-/// hyperplanes, usage); the cache-epoch generation is an identity
-/// token, not content, so content-equal bounds compare equal even
+/// hyperplanes, usage); the generation is an identity token, not
+/// content, so content-equal bounds compare equal even
 /// when built through different mutation histories.
 impl PartialEq for VectorSetBound {
     fn eq(&self, other: &VectorSetBound) -> bool {
@@ -83,11 +82,13 @@ impl VectorSetBound {
         }
     }
 
-    /// The cache-epoch generation: a process-unique token that changes
-    /// exactly when the hyperplane set changes. Two bounds (or two
-    /// snapshots of one bound) with equal generations are guaranteed to
-    /// hold bit-identical hyperplanes, so cross-decision caches keyed
-    /// on `(model fingerprint, generation)` reuse entries soundly.
+    /// A process-unique token that changes exactly when the hyperplane
+    /// set changes: two bounds (or two snapshots of one bound) with
+    /// equal generations hold bit-identical hyperplanes. No planner
+    /// reads it, since every decision opens with an empty cache. A
+    /// leftover that perfbench's traced replay still builds a
+    /// [`crate::CacheEpoch`] from; ROADMAP item 4 deletes it with that
+    /// replay.
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -95,9 +95,8 @@ impl Pomdp {
     /// A content fingerprint (FNV-1a over dimensions, transition and
     /// observation probabilities, rewards, and durations), computed
     /// once at build time. Two models with the same fingerprint have
-    /// bit-identical planning-relevant numerics, so the planner's
-    /// cross-decision cache uses it as half of its epoch key; labels
-    /// are not part of it.
+    /// bit-identical planning-relevant numerics; labels are not part
+    /// of it.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -172,8 +171,7 @@ impl Pomdp {
     /// keyed and scored on its observation row's stored states only,
     /// instead of on all `|S|` entries. Chosen once at build time from
     /// the observation matrices (see `branches_pay_sparse`), so
-    /// every decision on one model — and every cache epoch, which
-    /// names the model's fingerprint — uses one layout.
+    /// every decision on one model uses one layout.
     pub(crate) fn sparse_branches(&self) -> bool {
         self.sparse_branches
     }
@@ -285,15 +283,13 @@ impl Pomdp {
     }
 }
 
-/// Row masses of one observation matrix: `positive[s'] = Σ_o max(q, 0)`
-/// over the stored entries `q = q(o|s', a)` of row `s'`, and the largest
-/// negative mass of any row, `negative = max_s' Σ_o max(−q, 0)`. The
-/// builder accepts rows summing to within `1e-9` of 1 and entries down
-/// to `−1e-9`, so neither is assumed to be exactly 1 or 0.
+/// Row masses of one observation matrix: `positive[s'] = Σ_o q` over
+/// the stored entries `q = q(o|s', a)` of row `s'`, all of them
+/// positive. The builder accepts rows summing to within `1e-9` of 1, so
+/// a mass is not assumed to be exactly 1.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ObservationRowMass {
     pub(crate) positive: Vec<f64>,
-    pub(crate) negative: f64,
 }
 
 /// The lazily filled row-mass table. It is a function of the
@@ -309,20 +305,10 @@ impl PartialEq for RowMassCache {
 
 impl ObservationRowMass {
     fn of(m: &CsrMatrix) -> ObservationRowMass {
-        let mut positive = vec![0.0; m.nrows()];
-        let mut negative = 0.0f64;
-        for (s, p) in positive.iter_mut().enumerate() {
-            let mut n = 0.0;
-            for (_, q) in m.row(s) {
-                if q > 0.0 {
-                    *p += q;
-                } else {
-                    n -= q;
-                }
-            }
-            negative = negative.max(n);
-        }
-        ObservationRowMass { positive, negative }
+        let positive = (0..m.nrows())
+            .map(|s| m.row(s).fold(0.0, |mass, (_, q)| mass + q))
+            .collect();
+        ObservationRowMass { positive }
     }
 }
 
@@ -436,7 +422,8 @@ impl PomdpBuilder {
     ///
     /// Every `(entered state, action)` pair reachable in principle must
     /// have a full observation distribution; missing or non-unit rows
-    /// are rejected.
+    /// are rejected. Entries down to `−1e-9` pass validation but are
+    /// not stored, so every stored probability is positive.
     ///
     /// # Errors
     ///
@@ -473,6 +460,7 @@ impl PomdpBuilder {
                     });
                 }
             }
+            let m = without_negative_entries(m, n, self.n_observations);
             match observations.iter().position(|d| d.identical(&m)) {
                 Some(i) => obs_of.push(i),
                 None => {
@@ -512,6 +500,22 @@ impl PomdpBuilder {
             sparse_branches,
         })
     }
+}
+
+/// `m` without its negative entries (validation admits them down to
+/// `−1e-9`). Rebuilt only when it holds one.
+fn without_negative_entries(m: CsrMatrix, n: usize, n_observations: usize) -> CsrMatrix {
+    if (0..n).all(|s| m.row(s).all(|(_, q)| q > 0.0)) {
+        return m;
+    }
+    let kept: Vec<(usize, usize, f64)> = (0..n)
+        .flat_map(|s| {
+            m.row(s)
+                .filter(|&(_, q)| q > 0.0)
+                .map(move |(o, q)| (s, o, q))
+        })
+        .collect();
+    CsrMatrix::from_triplets(n, n_observations, &kept).expect("entries of a built matrix")
 }
 
 /// Minimum state count for the sparse branch layout: below it a dense

@@ -28,31 +28,21 @@
 //! workers. The cache is **disabled** on budgeted anytime passes,
 //! whose abort points must depend only on the literal expansion order.
 //!
-//! The cache holds **interior nodes (remaining depth ≥ 1) and the
-//! root's per-action entries only**. Leaves are scored directly: a
-//! leaf is one leaf-bound evaluation, cheaper than hashing, probing
-//! and storing its key, and a leaf entry would replay zero extra
-//! nodes, so leaving leaves out changes no value and no node count.
+//! The cache holds **interior nodes (remaining depth ≥ 1) only**.
+//! Leaves are scored directly: a leaf is one leaf-bound evaluation,
+//! cheaper than hashing, probing and storing its key, and a leaf entry
+//! would replay zero extra nodes, so leaving leaves out changes no
+//! value and no node count.
 //! It also keeps the cache small — on the EMN daemon workload leaf
 //! entries were about nine tenths of resident memory. The depth-0
 //! buckets of [`PlanStats`] therefore stay 0.
 //!
-//! # Cache epochs (cross-decision reuse)
+//! # One decision, one cache
 //!
-//! Subtree values depend on exactly four inputs beyond the belief and
-//! depth: the model's transition/observation/reward content, the leaf
-//! bound's hyperplanes, the discount base `beta`, and the gamma-cutoff.
-//! A [`CacheEpoch`] packages those as `(model fingerprint, bound
-//! generation, beta bits, cutoff bits)`; entry points that open a
-//! decision with [`PlanWorkspace::begin_epoch`] keep the cache
-//! **across decisions** for as long as the epoch is unchanged, and
-//! clear it the moment any component differs. Because keys are exact
-//! belief bits and the kernel is deterministic, a retained entry is
-//! bit-identical to what recomputation would produce — cross-decision
-//! reuse can change timings, never values. Entry points that cannot
-//! name their epoch (or mutate bounds mid-decision) use
-//! [`PlanWorkspace::begin`], which keeps the original
-//! clear-every-decision semantics.
+//! Every decision opens with an empty cache. Entries are not carried
+//! from one decision to the next: the controller backs its bound up
+//! before each decision, and a backup that adds a plane changes every
+//! leaf value, so carried entries would almost never still be valid.
 
 use crate::tree::Decision;
 use bpr_mdp::ActionId;
@@ -64,9 +54,10 @@ pub struct PlanStats {
     pub cache_hits: u64,
     /// Transposition-cache misses (subtrees expanded and stored).
     pub cache_misses: u64,
-    /// The subset of `cache_hits` whose entry was stored by an
-    /// *earlier* decision — i.e. reuse enabled by the epoch cache.
-    /// Always zero for decisions opened without a [`CacheEpoch`].
+    /// Always 0: every decision opens with an empty cache, so no hit
+    /// replays an earlier decision's entry. A leftover that perfbench's
+    /// traced replay still reads; ROADMAP item 4 deletes it with that
+    /// replay.
     pub cross_decision_hits: u64,
     /// Cache hits bucketed by remaining depth (index = depth). The
     /// vectors grow to the deepest depth seen and then stay fixed, so
@@ -90,9 +81,11 @@ impl PlanStats {
     }
 }
 
-/// The invariants a transposition-cache entry depends on (beyond its
-/// own `(depth, belief)` key). Two decisions opened under equal epochs
-/// may soundly share entries; see the module docs for the argument.
+/// The inputs a cached subtree value depends on beyond its `(depth,
+/// belief)` key. No planner reads it: every decision opens with an
+/// empty cache, and [`crate::tree::expand_with_workspace_epoch`]
+/// ignores its epoch. A leftover that perfbench's traced replay still
+/// builds; ROADMAP item 4 deletes it with that replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheEpoch {
     /// [`crate::Pomdp::fingerprint`] of the planned model.
@@ -119,12 +112,6 @@ pub struct PlanWorkspace {
     cache: BeliefCache,
     decision: Decision,
     stats: PlanStats,
-    /// Epoch the cache entries were computed under; `None` until an
-    /// epoch-aware decision opens, and after any `begin()` decision.
-    epoch: Option<CacheEpoch>,
-    /// Monotone decision counter; slots remember the serial they were
-    /// stored under so hits from earlier decisions are distinguishable.
-    decision_serial: u64,
 }
 
 impl PlanWorkspace {
@@ -140,15 +127,14 @@ impl PlanWorkspace {
     }
 
     /// Zeroes the cumulative counters (e.g. between a warm-up phase and
-    /// a measured phase). Cache entries, arena buffers, and the current
-    /// epoch are untouched.
+    /// a measured phase). Cache entries and arena buffers are
+    /// untouched.
     pub fn reset_stats(&mut self) {
         // Zero in place: replacing the struct would drop the per-depth
         // buckets' capacity and force a reallocation on the next bump,
         // breaking the steady-state zero-allocation property.
         self.stats.cache_hits = 0;
         self.stats.cache_misses = 0;
-        self.stats.cross_decision_hits = 0;
         self.stats
             .cache_hits_by_depth
             .iter_mut()
@@ -178,22 +164,7 @@ impl PlanWorkspace {
     /// may have changed since the previous decision) while keeping its
     /// capacity.
     pub(crate) fn begin(&mut self) {
-        self.decision_serial += 1;
-        self.epoch = None;
         self.cache.clear();
-    }
-
-    /// Starts a new decision under an explicit [`CacheEpoch`]: the
-    /// transposition cache is cleared only when the epoch differs from
-    /// the one the retained entries were computed under, so repeated
-    /// decisions against an unchanged model/bound reuse subtree values
-    /// across decisions.
-    pub(crate) fn begin_epoch(&mut self, epoch: CacheEpoch) {
-        self.decision_serial += 1;
-        if self.epoch != Some(epoch) {
-            self.cache.clear();
-            self.epoch = Some(epoch);
-        }
     }
 
     /// Borrows a zeroed length-`n` scratch buffer from the arena,
@@ -229,15 +200,16 @@ impl PlanWorkspace {
         &mut self.orders[depth]
     }
 
-    /// Whether the current decision was opened with an epoch (i.e. the
-    /// cache may carry entries across decisions). Root-level q-entries
-    /// are only worth storing in that regime.
-    pub(crate) fn has_epoch(&self) -> bool {
-        self.epoch.is_some()
-    }
-
     pub(crate) fn cache_get(&mut self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize)> {
-        self.cache_get_keyed(depth, depth, key)
+        let hit = self.cache.get(depth, key);
+        if hit.is_some() {
+            self.stats.cache_hits += 1;
+            PlanStats::bump_depth(&mut self.stats.cache_hits_by_depth, depth);
+        } else {
+            self.stats.cache_misses += 1;
+            PlanStats::bump_depth(&mut self.stats.cache_misses_by_depth, depth);
+        }
+        hit
     }
 
     pub(crate) fn cache_put(
@@ -247,59 +219,7 @@ impl PlanWorkspace {
         value: f64,
         nodes: usize,
     ) {
-        self.cache
-            .put(depth, key, value, nodes, self.decision_serial);
-    }
-
-    /// Root per-action lookup: `(depth, action, belief)` keyed through
-    /// the same table under a tagged key (see [`pack_root_key`]).
-    pub(crate) fn root_cache_get(
-        &mut self,
-        depth: usize,
-        action: usize,
-        key: impl BeliefKey,
-    ) -> Option<(f64, usize)> {
-        self.cache_get_keyed(pack_root_key(depth, action), depth, key)
-    }
-
-    pub(crate) fn root_cache_put(
-        &mut self,
-        depth: usize,
-        action: usize,
-        key: impl BeliefKey,
-        q: f64,
-        nodes: usize,
-    ) {
-        self.cache.put(
-            pack_root_key(depth, action),
-            key,
-            q,
-            nodes,
-            self.decision_serial,
-        );
-    }
-
-    fn cache_get_keyed(
-        &mut self,
-        key_depth: usize,
-        stat_depth: usize,
-        key: impl BeliefKey,
-    ) -> Option<(f64, usize)> {
-        match self.cache.get(key_depth, key) {
-            Some((value, nodes, serial)) => {
-                self.stats.cache_hits += 1;
-                PlanStats::bump_depth(&mut self.stats.cache_hits_by_depth, stat_depth);
-                if serial != self.decision_serial {
-                    self.stats.cross_decision_hits += 1;
-                }
-                Some((value, nodes))
-            }
-            None => {
-                self.stats.cache_misses += 1;
-                PlanStats::bump_depth(&mut self.stats.cache_misses_by_depth, stat_depth);
-                None
-            }
-        }
+        self.cache.put(depth, key, value, nodes);
     }
 
     pub(crate) fn decision_clear(&mut self) {
@@ -333,7 +253,8 @@ impl PlanWorkspace {
 /// How a belief is written into the transposition cache: a word
 /// stream that is equal for two beliefs exactly when their bits are.
 /// One model uses one key format (its branch layout is fixed at build
-/// time), and a cache epoch names the model, so formats never mix.
+/// time), and the cache is emptied before every decision, so formats
+/// never mix.
 pub(crate) trait BeliefKey {
     /// FNV-1a over the key words (the cache mixes in the depth).
     fn hash(&self) -> u64;
@@ -366,28 +287,28 @@ impl BeliefKey for &[f64] {
     }
 }
 
-/// The sparse key: `(index, bits)` of the non-zero entries among
-/// `support`, in ascending index order. Beliefs here never hold `-0.0`
-/// (they are non-negative), so skipping zeros loses nothing, and the
-/// key depends only on the belief, not on which support it was
-/// scanned over: a branch keyed over its observation row's columns and
-/// the same belief keyed over all states (a root) produce one key.
-pub(crate) struct SparseKey<'a, I> {
+/// The sparse key: `(index, bits)` of the non-zero entries among a
+/// branch's `support` (its observation row's columns, ascending).
+/// Beliefs here never hold `-0.0` (they are non-negative), so skipping
+/// zeros loses nothing, and the key depends only on the belief, not on
+/// which support it was scanned over: two branches of different rows
+/// that reach the same posterior produce one key.
+pub(crate) struct SparseKey<'a> {
     pub(crate) weights: &'a [f64],
-    pub(crate) support: I,
+    pub(crate) support: &'a [usize],
 }
 
-impl<I: Iterator<Item = usize> + Clone> SparseKey<'_, I> {
+impl SparseKey<'_> {
     /// The non-zero entries as `(index, bits)` word pairs.
     fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.support.clone().filter_map(move |i| {
+        self.support.iter().filter_map(move |&i| {
             let w = self.weights[i];
             (w != 0.0).then_some((i as u64, w.to_bits()))
         })
     }
 }
 
-impl<I: Iterator<Item = usize> + Clone> BeliefKey for SparseKey<'_, I> {
+impl BeliefKey for SparseKey<'_> {
     fn hash(&self) -> u64 {
         // One FNV step per entry, the index spread over the word by a
         // Fibonacci multiplier; `matches` compares both words exactly.
@@ -411,9 +332,8 @@ impl<I: Iterator<Item = usize> + Clone> BeliefKey for SparseKey<'_, I> {
     }
 }
 
-/// A key whose word hash is computed once and shared by several cache
-/// calls: a node's lookup and its store after a miss, or the root's
-/// lookups and stores for every action.
+/// A key whose word hash is computed once and shared by a node's
+/// lookup and its store after a miss.
 pub(crate) struct Prehashed<K> {
     key: K,
     hash: u64,
@@ -462,14 +382,9 @@ struct Slot {
     start: usize,
     value: f64,
     nodes: u64,
-    /// Decision serial the entry was stored under (cross-decision
-    /// reuse accounting only; never part of the lookup key).
-    serial: u64,
 }
 
-/// The `depth` of an empty slot. No key reaches it: node entries use
-/// the bare depth and root entries [`pack_root_key`], which stays below
-/// `u32::MAX` for every action and depth it accepts.
+/// The `depth` of an empty slot. No tree is that deep.
 const VACANT: u32 = u32::MAX;
 
 const EMPTY_SLOT: Slot = Slot {
@@ -479,24 +394,12 @@ const EMPTY_SLOT: Slot = Slot {
     start: 0,
     value: 0.0,
     nodes: 0,
-    serial: 0,
 };
 
 impl Slot {
     fn occupied(&self) -> bool {
         self.depth != VACANT
     }
-}
-
-/// Tags a root per-action entry's key so it can share the node-value
-/// table: bit 31 marks "root q-entry", bits 16..31 carry the action,
-/// bits 0..16 the depth. Interior node entries use the bare depth,
-/// which never reaches bit 31, so the two families cannot collide.
-fn pack_root_key(depth: usize, action: usize) -> usize {
-    // The all-ones key is the empty-slot marker `VACANT`.
-    debug_assert!(depth < (1 << 16) - 1, "tree depth exceeds root-key packing");
-    debug_assert!(action < (1 << 15), "action count exceeds root-key packing");
-    (1 << 31) | (action << 16) | depth
 }
 
 impl BeliefCache {
@@ -508,7 +411,7 @@ impl BeliefCache {
         self.len = 0;
     }
 
-    fn get(&self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize, u64)> {
+    fn get(&self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -524,13 +427,13 @@ impl BeliefCache {
                 && slot.depth == depth as u32
                 && key.matches(&self.keys[slot.start..slot.start + slot.len as usize])
             {
-                return Some((slot.value, slot.nodes as usize, slot.serial));
+                return Some((slot.value, slot.nodes as usize));
             }
             i = (i + 1) & mask;
         }
     }
 
-    fn put(&mut self, depth: usize, key: impl BeliefKey, value: f64, nodes: usize, serial: u64) {
+    fn put(&mut self, depth: usize, key: impl BeliefKey, value: f64, nodes: usize) {
         if self.slots.is_empty() {
             self.slots = vec![EMPTY_SLOT; 64];
         } else if (self.len + 1) * 4 > self.slots.len() * 3 {
@@ -545,7 +448,6 @@ impl BeliefCache {
             len: u32::try_from(self.keys.len() - start).expect("cache key fits u32 words"),
             value,
             nodes: nodes as u64,
-            serial,
         };
         self.insert_slot(slot);
         self.len += 1;
@@ -581,8 +483,8 @@ mod tests {
         let a = [0.25, 0.75];
         let b = [0.25, 0.75 + 1e-16];
         assert_eq!(cache.get(2, &a[..]), None);
-        cache.put(2, &a[..], -1.5, 7, 1);
-        assert_eq!(cache.get(2, &a[..]), Some((-1.5, 7, 1)));
+        cache.put(2, &a[..], -1.5, 7);
+        assert_eq!(cache.get(2, &a[..]), Some((-1.5, 7)));
         assert_eq!(cache.get(1, &a[..]), None, "depth is part of the key");
         if b[1] != a[1] {
             assert_eq!(cache.get(2, &b[..]), None, "near-equal bits miss");
@@ -596,12 +498,12 @@ mod tests {
     fn cache_survives_growth() {
         let mut cache = BeliefCache::default();
         for i in 0..500usize {
-            cache.put(1, &[i as f64, 1.0 - i as f64][..], -(i as f64), i, 3);
+            cache.put(1, &[i as f64, 1.0 - i as f64][..], -(i as f64), i);
         }
         for i in 0..500usize {
             assert_eq!(
                 cache.get(1, &[i as f64, 1.0 - i as f64][..]),
-                Some((-(i as f64), i, 3)),
+                Some((-(i as f64), i)),
                 "entry {i} lost in growth"
             );
         }
@@ -614,68 +516,48 @@ mod tests {
         // A branch keyed over its row's support, with a stored zero.
         let branch = SparseKey {
             weights: &belief,
-            support: [1usize, 2, 3].iter().copied(),
+            support: &[1, 2, 3],
         };
-        // The same belief keyed over all states, as a root is.
-        let root = SparseKey {
+        // The same belief keyed over a wider row's support.
+        let wide = SparseKey {
             weights: &belief,
-            support: 0..belief.len(),
+            support: &[0, 1, 2, 3, 4],
         };
-        assert_eq!(branch.hash(), root.hash(), "zeros do not enter the hash");
-        cache.put(1, branch, -3.0, 4, 1);
-        assert_eq!(cache.get(1, root), Some((-3.0, 4, 1)));
+        assert_eq!(branch.hash(), wide.hash(), "zeros do not enter the hash");
+        cache.put(1, branch, -3.0, 4);
+        assert_eq!(cache.get(1, wide), Some((-3.0, 4)));
         assert_eq!(cache.keys, vec![1, 0.25f64.to_bits(), 3, 0.75f64.to_bits()]);
         // Same values at other indices, and one entry more or less, miss.
         let moved = [0.25, 0.0, 0.0, 0.75, 0.0];
         let moved = SparseKey {
             weights: &moved,
-            support: 0..5,
+            support: &[0, 1, 2, 3, 4],
         };
         assert_eq!(cache.get(1, moved), None);
         let longer = [0.0, 0.25, 0.0, 0.75, 0.5];
         let longer = SparseKey {
             weights: &longer,
-            support: 0..5,
+            support: &[0, 1, 2, 3, 4],
         };
         assert_eq!(cache.get(1, longer), None);
         let shorter = SparseKey {
             weights: &belief,
-            support: [1usize].iter().copied(),
+            support: &[1],
         };
         assert_eq!(cache.get(1, shorter), None);
     }
 
     #[test]
-    fn epoch_begin_retains_entries_and_counts_cross_decision_hits() {
-        let epoch = CacheEpoch {
-            model_fingerprint: 11,
-            bound_generation: 22,
-            beta_bits: 0.5f64.to_bits(),
-            cutoff_bits: 0.0f64.to_bits(),
-        };
+    fn begin_empties_the_cache_and_reset_zeroes_counters_in_place() {
         let weights = [0.125, 0.875];
         let mut ws = PlanWorkspace::new();
-        ws.begin_epoch(epoch);
+        ws.begin();
         assert_eq!(ws.cache_get(1, &weights[..]), None);
         ws.cache_put(1, &weights[..], -2.0, 5);
         assert_eq!(ws.cache_get(1, &weights[..]), Some((-2.0, 5)));
-        assert_eq!(ws.stats().cross_decision_hits, 0, "same-decision hit");
-        // Same epoch, next decision: the entry survives and the hit is
-        // attributed to cross-decision reuse.
-        ws.begin_epoch(epoch);
-        assert_eq!(ws.cache_get(1, &weights[..]), Some((-2.0, 5)));
-        assert_eq!(ws.stats().cross_decision_hits, 1);
-        assert_eq!(ws.stats().cache_hits, 2);
-        assert_eq!(ws.stats().cache_hits_by_depth, vec![0, 2]);
+        assert_eq!(ws.stats().cache_hits_by_depth, vec![0, 1]);
         assert_eq!(ws.stats().cache_misses_by_depth, vec![0, 1]);
-        // A changed bound generation invalidates everything.
-        ws.begin_epoch(CacheEpoch {
-            bound_generation: 23,
-            ..epoch
-        });
-        assert_eq!(ws.cache_get(1, &weights[..]), None);
-        // Plain begin() always clears and never counts cross-decision.
-        ws.cache_put(1, &weights[..], -2.0, 5);
+        // The next decision starts from an empty cache.
         ws.begin();
         assert_eq!(ws.cache_get(1, &weights[..]), None);
         ws.reset_stats();
@@ -687,23 +569,6 @@ mod tests {
             ..PlanStats::default()
         };
         assert_eq!(ws.stats(), &zeroed);
-        // Root per-action entries share the table under a tagged key:
-        // no collision with node entries at the same depth, and the
-        // same epoch/serial discipline applies.
-        ws.begin_epoch(epoch);
-        ws.cache_put(1, &weights[..], -2.0, 5);
-        assert_eq!(ws.root_cache_get(1, 0, &weights[..]), None);
-        ws.root_cache_put(1, 0, &weights[..], -7.5, 3);
-        assert_eq!(ws.root_cache_get(1, 0, &weights[..]), Some((-7.5, 3)));
-        assert_eq!(
-            ws.root_cache_get(1, 1, &weights[..]),
-            None,
-            "per-action keys"
-        );
-        assert_eq!(ws.cache_get(1, &weights[..]), Some((-2.0, 5)));
-        ws.begin_epoch(epoch);
-        assert_eq!(ws.root_cache_get(1, 0, &weights[..]), Some((-7.5, 3)));
-        assert!(ws.stats().cross_decision_hits >= 1);
     }
 
     #[test]

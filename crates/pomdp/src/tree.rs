@@ -26,11 +26,12 @@
 //!
 //! The kernel runs on one of two private layouts, chosen once per model
 //! from its observation matrices; every sequential expansion (plain,
-//! epoch, budgeted and branch-and-bound) shares its one recursion. The dense layout holds each
-//! observation branch as a full `|S|` vector. The sparse layout, taken
-//! by models with mostly empty observation rows (the 10³–10⁴-state
-//! corpus), writes, normalises, keys and scores each branch on its
-//! observation row's stored states only, leaf bounds included through
+//! budgeted and branch-and-bound) shares its one recursion. The dense
+//! layout holds each observation branch as a full `|S|` vector. The
+//! sparse layout, taken by models with mostly empty observation rows
+//! (the 10³–10⁴-state corpus), writes, normalises, keys and scores
+//! each branch on its observation row's stored states only, leaf
+//! bounds included through
 //! [`ValueBound::value_support`]. Both produce the same decisions,
 //! node counts and cache statistics bit for bit.
 //!
@@ -54,11 +55,11 @@
 //!   sum that started at `+0.0` unchanged (a `debug_assert` compares
 //!   the two sums bit for bit).
 //! - **Leaves are evaluated, not cached.** The transposition cache
-//!   holds interior nodes and the root's per-action entries only. A
-//!   leaf entry would replay zero extra nodes, so node counts do not
-//!   change; keying a leaf (hashing, probing and storing `|S|` words)
-//!   cost more than scoring it, and leaf entries were most of the
-//!   cache's memory.
+//!   holds interior nodes only, and every decision opens with an empty
+//!   one (`crate::plan`). A leaf entry would replay zero extra nodes,
+//!   so node counts do not change; keying a leaf (hashing, probing and
+//!   storing `|S|` words) cost more than scoring it, and leaf entries
+//!   were most of the cache's memory.
 //! - **Four planes per pass.** The leaf bound
 //!   ([`VectorSetBound::best_vector_quiet`](crate::bounds::VectorSetBound::best_vector_quiet))
 //!   scores four hyperplanes per pass over the belief, each in its own
@@ -167,20 +168,10 @@ pub fn expand_with_workspace(
     Ok(())
 }
 
-/// [`expand_with_workspace`] under an explicit [`CacheEpoch`]: the
-/// workspace's transposition cache survives **across decisions** for
-/// as long as the epoch — `(model fingerprint, bound generation, β
-/// bits, cutoff bits)` — is unchanged, so consecutive decisions on the
-/// same incident replay shared subtrees instead of re-expanding them.
-///
-/// The caller is responsible for the epoch naming every input the
-/// cached values depend on: build it from
-/// [`Pomdp::fingerprint`](crate::Pomdp::fingerprint), the leaf bound's
-/// [`generation`](crate::bounds::VectorSetBound::generation), and the
-/// exact `beta`/`gamma_cutoff` bits passed here. Under that contract
-/// the produced [`Decision`] is bit-identical to
-/// [`expand_with_workspace`] — cache entries are keyed on exact belief
-/// bits and replay deterministic values (see `crate::plan` docs).
+/// [`expand_with_workspace`]; `epoch` is ignored. Every decision
+/// opens with an empty transposition cache, so there is nothing for an
+/// epoch to carry. A leftover that perfbench's traced replay still
+/// calls; ROADMAP item 4 deletes it with that replay.
 ///
 /// # Errors
 ///
@@ -193,21 +184,14 @@ pub fn expand_with_workspace_epoch(
     leaf: &dyn ValueBound,
     beta: f64,
     gamma_cutoff: f64,
-    epoch: CacheEpoch,
+    _epoch: CacheEpoch,
     ws: &mut PlanWorkspace,
 ) -> Result<(), Error> {
-    if depth == 0 {
-        return Err(depth_zero_error());
-    }
-    ws.begin_epoch(epoch);
-    Plain::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
-        .expand_root(belief, depth, ws)
-        .expect("unbudgeted expansion never aborts");
-    Ok(())
+    expand_with_workspace(pomdp, belief, depth, leaf, beta, gamma_cutoff, ws)
 }
 
-/// The one root loop of every sequential expansion: plain, epoch,
-/// budgeted and branch-and-bound (the caller has already validated
+/// The one root loop of every sequential expansion: plain, budgeted
+/// and branch-and-bound (the caller has already validated
 /// `depth` and, for unbudgeted passes, opened the decision on `ws`).
 /// Writes the per-action values, the chosen action and the node count
 /// into [`PlanWorkspace::decision`]; returns the nodes spent, or
@@ -229,8 +213,6 @@ fn expand_root<L: Layout>(
     let probs = belief.probs();
     let mut nodes = 0usize;
     let (best_a, best_q) = if let Some(upper) = kernel.plain.upper {
-        // Branch-and-bound decisions open without an epoch, so the
-        // root cache below could never hit; it is not consulted.
         kernel.sort_actions(ws, probs, depth, upper);
         ws.decision_fill(n_actions, f64::NEG_INFINITY);
         let mut best = (ws.action_order(depth)[0].1, f64::NEG_INFINITY);
@@ -252,32 +234,10 @@ fn expand_root<L: Layout>(
         best
     } else {
         ws.decision_clear();
-        // Under epoch semantics the root's per-action values are cached
-        // too, keyed `(depth, action, belief)`: repeated decisions on
-        // the same belief then skip even the root-level τ computations,
-        // which dominate at depth 1 on large models. A hit replays the
-        // exact q and node count the subtree would have produced, so
-        // the Decision stays bit-identical. Without an epoch the cache
-        // is cleared per decision and root entries could never hit, so
-        // skip the traffic; budgeted passes never touch the cache at
-        // all. The root key is hashed once for all actions.
-        let root = (kernel.plain.use_cache && ws.has_epoch())
-            .then(|| Prehashed::new(kernel.layout.root_key(probs)));
         for a in 0..n_actions {
-            if let Some(key) = &root {
-                if let Some((q, sub)) = ws.root_cache_get(depth, a, key) {
-                    nodes += sub;
-                    ws.push_q(q);
-                    continue;
-                }
-            }
-            let before = nodes;
             let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
                 return Err(nodes);
             };
-            if let Some(key) = &root {
-                ws.root_cache_put(depth, a, key, q, nodes - before);
-            }
             ws.push_q(q);
         }
         argmax_last(ws.q_values())
@@ -541,8 +501,6 @@ trait Layout: Copy {
     fn leaf(self, bound: &dyn ValueBound, post: &[f64], support: &[usize]) -> f64;
     /// The transposition-cache key of a branch.
     fn key<'k>(self, post: &'k [f64], support: &'k [usize]) -> impl BeliefKey + 'k;
-    /// The transposition-cache key of a root belief.
-    fn root_key(self, belief: &[f64]) -> impl BeliefKey + '_;
     /// Restores `post` to all zeros after the branch.
     fn clear(self, post: &mut [f64], support: &[usize]);
 }
@@ -581,10 +539,6 @@ impl Layout for Dense {
 
     fn key<'k>(self, post: &'k [f64], _support: &'k [usize]) -> impl BeliefKey + 'k {
         post
-    }
-
-    fn root_key(self, belief: &[f64]) -> impl BeliefKey + '_ {
-        belief
     }
 
     fn clear(self, _post: &mut [f64], _support: &[usize]) {
@@ -638,14 +592,7 @@ impl Layout for Sparse {
     fn key<'k>(self, post: &'k [f64], support: &'k [usize]) -> impl BeliefKey + 'k {
         SparseKey {
             weights: post,
-            support: support.iter().copied(),
-        }
-    }
-
-    fn root_key(self, belief: &[f64]) -> impl BeliefKey + '_ {
-        SparseKey {
-            weights: belief,
-            support: 0..belief.len(),
+            support,
         }
     }
 
@@ -1355,51 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_expansion_is_bit_identical_and_reuses_across_decisions() {
-        let p = two_server_notified();
-        let ra = ra_bound(&p, &SolveOpts::default()).unwrap();
-        let epoch = CacheEpoch {
-            model_fingerprint: p.fingerprint(),
-            bound_generation: ra.generation(),
-            beta_bits: 1.0f64.to_bits(),
-            cutoff_bits: 0.0f64.to_bits(),
-        };
-        let mut plain_ws = PlanWorkspace::new();
-        let mut epoch_ws = PlanWorkspace::new();
-        for b in probe_beliefs() {
-            expand_with_workspace(&p, &b, 3, &ra, 1.0, 0.0, &mut plain_ws).unwrap();
-            expand_with_workspace_epoch(&p, &b, 3, &ra, 1.0, 0.0, epoch, &mut epoch_ws).unwrap();
-            assert_eq!(plain_ws.decision(), epoch_ws.decision());
-        }
-        assert_eq!(
-            plain_ws.stats().cross_decision_hits,
-            0,
-            "plain begin() must never reuse across decisions"
-        );
-        // Replaying the same belief under the same epoch is answered
-        // from retained entries.
-        let b = Belief::uniform(3);
-        expand_with_workspace_epoch(&p, &b, 3, &ra, 1.0, 0.0, epoch, &mut epoch_ws).unwrap();
-        let before = epoch_ws.stats().clone();
-        expand_with_workspace_epoch(&p, &b, 3, &ra, 1.0, 0.0, epoch, &mut epoch_ws).unwrap();
-        let after = epoch_ws.stats();
-        assert!(
-            after.cross_decision_hits > before.cross_decision_hits,
-            "identical decision under an unchanged epoch found no reuse: {after:?}"
-        );
-        // A changed epoch component invalidates the retained entries.
-        let bumped = CacheEpoch {
-            bound_generation: epoch.bound_generation + 1,
-            ..epoch
-        };
-        let reuse_before = after.cross_decision_hits;
-        expand_with_workspace_epoch(&p, &b, 3, &ra, 1.0, 0.0, bumped, &mut epoch_ws).unwrap();
-        assert_eq!(epoch_ws.stats().cross_decision_hits, reuse_before);
-        expand_with_workspace(&p, &b, 3, &ra, 1.0, 0.0, &mut plain_ws).unwrap();
-        assert_eq!(epoch_ws.decision(), plain_ws.decision());
-    }
-
-    #[test]
     fn transposition_cache_fires_on_repeated_posteriors() {
         let p = two_server_notified();
         let bound = ConstantBound(0.0);
@@ -1465,12 +1367,6 @@ mod tests {
         // Rewards are non-positive, so the discounted QMDP values lie
         // above the undiscounted ones: a sound upper bound.
         let upper = qmdp_bound(&p, Discount::Factor(0.95)).unwrap();
-        let epoch = CacheEpoch {
-            model_fingerprint: p.fingerprint(),
-            bound_generation: bound.generation(),
-            beta_bits: 1.0f64.to_bits(),
-            cutoff_bits: 0.0f64.to_bits(),
-        };
         let mut sparse_probs = vec![0.0; n];
         sparse_probs[3] = 0.5;
         sparse_probs[17] = 0.25;
@@ -1485,10 +1381,10 @@ mod tests {
                 let plain = Plain::unbudgeted(&p, &bound, 1.0, 0.0);
                 let mut dense_ws = PlanWorkspace::new();
                 let mut sparse_ws = PlanWorkspace::new();
-                // The second round answers from cross-decision entries.
+                // The second round runs on dirty workspaces.
                 for _ in 0..2 {
-                    dense_ws.begin_epoch(epoch);
-                    sparse_ws.begin_epoch(epoch);
+                    dense_ws.begin();
+                    sparse_ws.begin();
                     let layouts = (
                         expand_root(&plain.on(Dense), b, depth, &mut dense_ws),
                         expand_root(&plain.on(Sparse), b, depth, &mut sparse_ws),
@@ -1641,27 +1537,27 @@ mod tests {
     fn leaves_stay_out_of_the_transposition_cache() {
         for p in [two_server_notified(), sparse_rows_model()] {
             let ra = VectorSetBound::from_vector(vec![-2.0; p.n_states()]).unwrap();
-            let epoch = CacheEpoch {
-                model_fingerprint: p.fingerprint(),
-                bound_generation: ra.generation(),
-                beta_bits: 1.0f64.to_bits(),
-                cutoff_bits: 0.0f64.to_bits(),
-            };
             let b = Belief::uniform(p.n_states());
             let mut ws = PlanWorkspace::new();
             for _ in 0..2 {
-                expand_with_workspace_epoch(&p, &b, 2, &ra, 1.0, 0.0, epoch, &mut ws).unwrap();
+                expand_with_workspace(&p, &b, 2, &ra, 1.0, 0.0, &mut ws).unwrap();
                 let old = legacy::expand_with_cutoff(&p, &b, 2, &ra, 1.0, 0.0).unwrap();
                 assert_eq!(decision_bits(&old), decision_bits(ws.decision()));
             }
             let stats = ws.stats();
-            assert_eq!(stats.cache_hits_by_depth[0], 0, "{stats:?}");
+            // Only depth-1 nodes are looked up: no leaf (depth 0) and
+            // no root (depth 2).
+            assert_eq!(stats.cache_misses_by_depth.len(), 2, "{stats:?}");
             assert_eq!(stats.cache_misses_by_depth[0], 0, "{stats:?}");
             assert!(
                 stats.cache_misses_by_depth[1] > 0,
                 "interior nodes are cached"
             );
-            assert!(stats.cross_decision_hits > 0, "root entries replay");
+            assert!(stats.cache_hits_by_depth.len() <= 2, "{stats:?}");
+            assert!(
+                stats.cache_hits_by_depth.first().is_none_or(|&h| h == 0),
+                "{stats:?}"
+            );
         }
     }
 

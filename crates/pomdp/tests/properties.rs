@@ -146,6 +146,26 @@ fn arb_short_rows_pomdp() -> impl Strategy<Value = Pomdp> {
     })
 }
 
+/// A random model with one more observation, emitted on entering
+/// every state under every action with probability `−1e-9`, the most
+/// negative entry the builder accepts; the row's first entry rises by
+/// `1e-9`, so every row keeps unit mass.
+fn arb_negative_entries_pomdp() -> impl Strategy<Value = Pomdp> {
+    prop_oneof![arb_pomdp(), arb_sparse_pomdp()].prop_map(|p: Pomdp| {
+        let no = p.n_observations();
+        let mut pb = PomdpBuilder::new(p.mdp().clone(), no + 1);
+        for a in 0..p.n_actions() {
+            for s in 0..p.n_states() {
+                for (k, (o, q)) in p.observations_on_entering(s, a).enumerate() {
+                    pb.observation(s, a, o, if k == 0 { q + 1e-9 } else { q });
+                }
+                pb.observation(s, a, no, -1e-9);
+            }
+        }
+        pb.build().expect("pomdp builds")
+    })
+}
+
 /// 2–5 random hyperplanes over up to 6 states with entries in
 /// `[-10, -0.1)` (all negative, as a cost bound's) or `[-10, 10)`.
 fn arb_hyperplanes() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -337,7 +357,7 @@ proptest! {
 
     #[test]
     fn backup_matches_dense_reference_bit_for_bit(
-        p in prop_oneof![arb_pomdp(), arb_sparse_pomdp()],
+        p in prop_oneof![arb_pomdp(), arb_sparse_pomdp(), arb_negative_entries_pomdp()],
         steps in arb_steps(),
         discounted in 0usize..2,
     ) {

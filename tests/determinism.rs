@@ -543,8 +543,7 @@ fn rules_preview_rows_match_pinned_digest() {
 /// whose lump merges states. The fingerprint hashes every transition,
 /// reward, duration and observation entry per action, so a change to
 /// how the model stores its matrices that altered any of them, or the
-/// order they are hashed in, moves a pin; it is also half of every
-/// plan-cache epoch and checkpoint session key.
+/// order they are hashed in, moves a pin.
 #[test]
 fn model_fingerprints_match_pinned_values() {
     let registry = bpr::scenario::builtin();

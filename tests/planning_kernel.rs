@@ -24,7 +24,7 @@ use bpr_mdp::{ActionId, MdpBuilder};
 use bpr_par::WorkPool;
 use bpr_pomdp::bounds::{qmdp_bound, ra_bound, ConstantBound, ValueBound, VectorSetBound};
 use bpr_pomdp::tree::Decision;
-use bpr_pomdp::{tree, Belief, CacheEpoch, PlanWorkspace, Pomdp, PomdpBuilder};
+use bpr_pomdp::{tree, Belief, PlanWorkspace, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,8 +200,10 @@ fn decision_bits(d: &Decision) -> (usize, u64, Vec<u64>, usize) {
 }
 
 /// Every entry point against the legacy decision, bit for bit: the
-/// workspace pass, two epoch passes (the second replays cross-decision
-/// entries), an exact-budget pass (and its one-short abort),
+/// workspace pass on a fresh workspace and again on one dirtied by a
+/// decision on a different belief (with the same cache traffic as the
+/// fresh pass, so no entry leaks from one decision into the next), an
+/// exact-budget pass (and its one-short abort),
 /// root-parallel expansion at widths 1 and 2, and branch-and-bound
 /// with `upper` against the legacy branch-and-bound.
 fn assert_entry_points_match_legacy(
@@ -219,17 +221,26 @@ fn assert_entry_points_match_legacy(
     tree::expand_with_workspace(pomdp, belief, depth, leaf, 1.0, cutoff, &mut ws)
         .expect("workspace pass expands");
     assert_eq!(decision_bits(ws.decision()), want, "workspace pass");
-    let epoch = CacheEpoch {
-        model_fingerprint: pomdp.fingerprint(),
-        bound_generation: leaf.generation(),
-        beta_bits: 1.0f64.to_bits(),
-        cutoff_bits: cutoff.to_bits(),
+    let traffic = |ws: &PlanWorkspace| (ws.stats().cache_hits, ws.stats().cache_misses);
+    let fresh = traffic(&ws);
+    let n = pomdp.n_states();
+    let other = if *belief == Belief::uniform(n) {
+        Belief::point(n, 0.into())
+    } else {
+        Belief::uniform(n)
     };
-    for round in 0..2 {
-        tree::expand_with_workspace_epoch(pomdp, belief, depth, leaf, 1.0, cutoff, epoch, &mut ws)
-            .expect("epoch pass expands");
-        assert_eq!(decision_bits(ws.decision()), want, "epoch pass {round}");
-    }
+    tree::expand_with_workspace(pomdp, &other, depth, leaf, 1.0, cutoff, &mut ws)
+        .expect("workspace pass expands");
+    let before = traffic(&ws);
+    tree::expand_with_workspace(pomdp, belief, depth, leaf, 1.0, cutoff, &mut ws)
+        .expect("workspace pass expands");
+    assert_eq!(decision_bits(ws.decision()), want, "dirty workspace pass");
+    let after = traffic(&ws);
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        fresh,
+        "dirty workspace pass saw other cache traffic than a fresh one"
+    );
     let nodes = old.nodes_expanded;
     let pass = tree::expand_budgeted(pomdp, belief, depth, leaf, 1.0, cutoff, nodes, &mut ws)
         .expect("budgeted pass expands");
