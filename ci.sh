@@ -40,14 +40,19 @@ cargo run -p bpr-bench --bin kill_resume --release -- \
   --episodes 20 --every 3 --bootstrap-iters 8 --batch 4 --max-steps 200 --threads 1,2 \
   --out "$out/BENCH_kill_resume.json" --snapshot "$out/kill_resume.snapshot"
 
-echo "==> planning-throughput smoke (fails under a 5x cold-path speedup over legacy on the dense EMN kernel, best of five interleaved passes per side, on fused/parallel/branch-and-bound divergence or on steady-state allocations)"
+echo "==> planning-throughput smoke (fails under a 5x cold-path speedup over legacy on the dense EMN kernel, best of five interleaved passes per side, on fused/branch-and-bound divergence or on steady-state allocations)"
 cargo run -p bpr-bench --bin planning --release -- \
-  --decisions 40 --depth 2 --threads 1,2,4 \
+  --decisions 40 --depth 2 \
   --min-speedup 5 --out "$out/BENCH_planning_emn.json"
+
+echo "==> planning identity smoke at depth 2 on a generated 10^2-state scenario (no speedup gate; fails on fused or branch-and-bound divergence from legacy, or on steady-state allocations: a second model family for the interior-node afterstate sharing)"
+cargo run -p bpr-bench --bin planning --release -- \
+  --scenario web3tier-small --decisions 10 --depth 2 \
+  --out "$out/BENCH_planning_web3tier-small.json"
 
 echo "==> planning perf-gate smoke on a generated 10^3-state scenario (fails under a 1.5x cold-path speedup over legacy, best of five interleaved passes per side, on divergence -- branch-and-bound on the sparse layout included -- or on steady-state allocations of the cold and branch-and-bound paths)"
 cargo run -p bpr-bench --bin planning --release -- \
-  --scenario cellfleet-mid --decisions 5 --depth 1 --threads 1,2 \
+  --scenario cellfleet-mid --decisions 5 --depth 1 \
   --min-speedup 1.5 --out "$out/BENCH_planning_cellfleet-mid.json"
 
 echo "==> modelcheck (full-corpus lint gate: paper models + generated 10^2-10^4 corpus; fails on errors or unexpected warnings)"

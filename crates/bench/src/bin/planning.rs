@@ -2,36 +2,37 @@
 //! kernel: measures decisions/sec and nodes/sec on any registry
 //! scenario (default: the paper's EMN model) for the retained legacy
 //! path, the fused workspace path on the lumped quotient (cold: every
-//! decision opens with an empty cache and runs the kernel),
-//! branch-and-bound on the quotient with a QMDP upper bound (cold), and
-//! root-parallel expansion at several widths — all in the same run, so
-//! the reported speedups compare like with like.
+//! decision opens with an empty cache and runs the kernel) and
+//! branch-and-bound on the quotient with a QMDP upper bound (cold) —
+//! all in the same run, so the reported speedups compare like with
+//! like.
 //!
-//! Five properties gate the run (exit nonzero on violation):
+//! Four properties gate the run (exit nonzero on violation):
 //!
 //! 1. the fused decision on the lumped quotient is **value-identical**
 //!    to the legacy decision on the full model — bit-identical when the
 //!    lumping is the identity, within 1e-9 otherwise (same action, same
 //!    node count, matching root and per-action values);
-//! 2. root-parallel decisions are bit-identical to sequential at every
-//!    requested width;
-//! 3. steady-state fused decisions, branch-and-bound included, perform
+//! 2. steady-state fused decisions, branch-and-bound included, perform
 //!    **zero heap allocations** (counted by a tallying global allocator
 //!    in this binary only);
-//! 4. the cold speedup over legacy is at least `--min-speedup`. The
+//! 3. the cold speedup over legacy is at least `--min-speedup`. The
 //!    legacy and cold paths are timed in interleaved passes (five, or
 //!    one per decision if there are fewer), and each side's rate is its
 //!    best pass, so host drift between the two sides cannot move the
 //!    ratio much;
-//! 5. the branch-and-bound decision on the quotient is bit-identical to
+//! 4. the branch-and-bound decision on the quotient is bit-identical to
 //!    the legacy branch-and-bound on the quotient.
 //!
-//! Results land in `BENCH_planning_<scenario>.json`.
+//! Results land in `BENCH_planning_<scenario>.json`; its `cache` block
+//! counts the cold decisions' transposition-cache hits and misses and
+//! their afterstate hits (actions that replayed an earlier action's
+//! branches at the same node), each also by remaining depth.
 //!
 //! Usage:
 //! `cargo run -p bpr-bench --bin planning --release -- \
 //!     [--scenario emn] [--decisions 40] [--depth 2] [--cutoff 1e-3] \
-//!     [--threads 1,2,4] [--min-speedup 0.0] [--out PATH.json]`
+//!     [--min-speedup 0.0] [--out PATH.json]`
 
 // The one sanctioned `unsafe` user in the workspace: implementing
 // `GlobalAlloc` is inherently unsafe, and the zero-allocation gate
@@ -39,10 +40,9 @@
 // `unsafe_code = "deny"` from the workspace lint table.
 #![allow(unsafe_code)]
 
-use bpr_bench::{flag, list_flag, scenario_flag};
+use bpr_bench::{flag, scenario_flag};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::value_iteration::Discount;
-use bpr_par::WorkPool;
 use bpr_pomdp::bounds::{qmdp_bound, ra_bound};
 use bpr_pomdp::tree::Decision;
 use bpr_pomdp::{tree, Belief, PlanWorkspace};
@@ -168,7 +168,6 @@ fn main() {
     let depth = flag(&args, "--depth", 2usize).max(1);
     let cutoff = flag(&args, "--cutoff", 1e-3f64);
     let min_speedup = flag(&args, "--min-speedup", 0.0f64);
-    let widths = list_flag(&args, "--threads", &[1, 2, 4]);
 
     let registry = bpr::scenario::builtin();
     let scenario = scenario_flag(&registry, &args, "emn");
@@ -273,8 +272,8 @@ fn main() {
 
     let stats = ws.stats().clone();
     println!(
-        "  cold cache: {}/{} hits/misses",
-        stats.cache_hits, stats.cache_misses
+        "  cold cache: {}/{} hits/misses, {} afterstate hits",
+        stats.cache_hits, stats.cache_misses, stats.afterstate_hits
     );
 
     // --- Branch-and-bound on the quotient with a QMDP upper bound, cold
@@ -333,45 +332,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- Root-parallel expansion, gated on exact Decision equality.
-    let sequential = tree::expand_with_cutoff(pomdp, &belief, depth, &bound, 1.0, cutoff)
-        .expect("sequential expansion succeeds");
-    let mut parallel_rows = String::from("[");
-    for (i, &width) in widths.iter().enumerate() {
-        let pool = WorkPool::new(width).expect("positive width");
-        let first = tree::expand_par(pomdp, &belief, depth, &bound, 1.0, cutoff, &pool)
-            .expect("parallel expansion succeeds");
-        if first != sequential {
-            eprintln!(
-                "DIVERGENCE: parallel decision at width {width} differs from sequential\n  \
-                 sequential: {sequential:?}\n  parallel:   {first:?}"
-            );
-            std::process::exit(1);
-        }
-        let start = Instant::now();
-        let mut nodes = 0usize;
-        for _ in 0..decisions {
-            let d = tree::expand_par(pomdp, &belief, depth, &bound, 1.0, cutoff, &pool)
-                .expect("parallel expansion succeeds");
-            nodes += d.nodes_expanded;
-        }
-        let r = rates(decisions, nodes, start.elapsed().as_secs_f64());
-        println!(
-            "  parallel x{width}: {:.1} decisions/sec (bit-identical to sequential)",
-            r.decisions_per_sec
-        );
-        if i > 0 {
-            parallel_rows.push_str(", ");
-        }
-        let _ = write!(
-            parallel_rows,
-            "{{\"threads\": {width}, \"wall_seconds\": {:.6}, \"decisions_per_sec\": {:.3}, \
-             \"bit_identical\": true}}",
-            r.wall_seconds, r.decisions_per_sec
-        );
-    }
-    parallel_rows.push(']');
-
     let mut json = String::from("{\n");
     let _ = write!(
         json,
@@ -405,8 +365,13 @@ fn main() {
     write_u64s(&mut json, &stats.cache_misses_by_depth);
     let _ = write!(
         json,
-        "}},\n  \"speedup_cold_over_legacy\": {cold_speedup:.3},\n  \
-         \"parallel\": {parallel_rows}\n}}\n",
+        ",\n    \"afterstate_hits\": {}, \"afterstate_hits_by_depth\": ",
+        stats.afterstate_hits
+    );
+    write_u64s(&mut json, &stats.afterstate_hits_by_depth);
+    let _ = write!(
+        json,
+        "}},\n  \"speedup_cold_over_legacy\": {cold_speedup:.3}\n}}\n",
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");

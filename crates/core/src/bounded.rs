@@ -4,7 +4,6 @@ use crate::controller::Lifecycle;
 use crate::{Error, RecoveryController, Step, TerminatedModel};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::{ActionId, StateId};
-use bpr_par::WorkPool;
 use bpr_pomdp::backup::incremental_backup;
 use bpr_pomdp::bounds::{ra_bound, VectorSetBound};
 use bpr_pomdp::{tree, Belief, ObservationId, PlanStats, PlanWorkspace};
@@ -47,12 +46,11 @@ pub struct BoundedConfig {
     /// an un-bootstrapped controller terminate too eagerly; a couple of
     /// vertex sweeps repair exactly that region. Set to 0 to disable.
     pub startup_vertex_sweeps: usize,
-    /// Worker threads for root-level parallel expansion. `1` (the
-    /// default) plans sequentially in the controller's reusable
-    /// workspace; larger values expand the root actions concurrently
-    /// over a [`WorkPool`], producing **bit-identical decisions** at
-    /// every width. Ignored when `branch_and_bound` is set — incumbent
-    /// pruning is inherently sequential.
+    /// Must be 1: decisions are planned sequentially in the
+    /// controller's reusable workspace, and any other value is rejected
+    /// with [`Error::InvalidInput`]. Root-parallel expansion is gone; the
+    /// field stays only because perfbench's traced replay reads it, and
+    /// ROADMAP item 4's benchmark-changing PR removes it.
     pub root_threads: usize,
 }
 
@@ -141,9 +139,9 @@ impl BoundedController {
                 detail: "tree depth must be at least 1".into(),
             });
         }
-        if config.root_threads == 0 {
+        if config.root_threads != 1 {
             return Err(Error::InvalidInput {
-                detail: "root_threads must be at least 1".into(),
+                detail: "root_threads must be 1: root-parallel expansion was removed".into(),
             });
         }
         let mut bound = model.seed_termination_plane(bound)?;
@@ -204,11 +202,8 @@ impl BoundedController {
     }
 
     /// Planning-kernel statistics of the controller's workspace
-    /// (transposition-cache hits/misses, scratch buffers built).
-    ///
-    /// Covers the sequential workspace paths only; with
-    /// `root_threads > 1` the parallel expansion uses short-lived
-    /// per-worker workspaces that are not aggregated here.
+    /// (transposition-cache and afterstate hits, scratch buffers
+    /// built).
     pub fn plan_stats(&self) -> &PlanStats {
         self.workspace.stats()
     }
@@ -239,51 +234,29 @@ impl RecoveryController for BoundedController {
             )?;
             self.stats.backups += 1;
         }
-        let parallel;
-        let d = match &self.upper {
-            Some(upper) => {
-                tree::expand_branch_and_bound_with_workspace(
-                    self.model.pomdp(),
-                    belief,
-                    self.config.depth,
-                    &self.bound,
-                    upper,
-                    self.config.beta,
-                    self.config.gamma_cutoff,
-                    &mut self.workspace,
-                )
-                .map_err(Error::Pomdp)?;
-                self.workspace.decision()
-            }
-            None if self.config.root_threads > 1 => {
-                let pool = WorkPool::new(self.config.root_threads)
-                    .expect("root_threads validated at construction");
-                parallel = tree::expand_par(
-                    self.model.pomdp(),
-                    belief,
-                    self.config.depth,
-                    &self.bound,
-                    self.config.beta,
-                    self.config.gamma_cutoff,
-                    &pool,
-                )
-                .map_err(Error::Pomdp)?;
-                &parallel
-            }
-            None => {
-                tree::expand_with_workspace(
-                    self.model.pomdp(),
-                    belief,
-                    self.config.depth,
-                    &self.bound,
-                    self.config.beta,
-                    self.config.gamma_cutoff,
-                    &mut self.workspace,
-                )
-                .map_err(Error::Pomdp)?;
-                self.workspace.decision()
-            }
-        };
+        match &self.upper {
+            Some(upper) => tree::expand_branch_and_bound_with_workspace(
+                self.model.pomdp(),
+                belief,
+                self.config.depth,
+                &self.bound,
+                upper,
+                self.config.beta,
+                self.config.gamma_cutoff,
+                &mut self.workspace,
+            ),
+            None => tree::expand_with_workspace(
+                self.model.pomdp(),
+                belief,
+                self.config.depth,
+                &self.bound,
+                self.config.beta,
+                self.config.gamma_cutoff,
+                &mut self.workspace,
+            ),
+        }
+        .map_err(Error::Pomdp)?;
+        let d = self.workspace.decision();
         self.stats.decisions += 1;
         self.stats.nodes_expanded += d.nodes_expanded;
         let tie = self.config.prefer_terminate_on_tie;
@@ -529,49 +502,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_roots_reproduce_the_sequential_episode() {
-        // Same model, same belief trajectory: every decision must agree
-        // bit-for-bit whatever the root width. Online backups mutate the
-        // bound, so the controllers must see identical belief sequences.
+    fn parallel_root_threads_are_rejected() {
         let model = two_server_model().without_notification(10.0).unwrap();
-        let mut controllers: Vec<BoundedController> = [1usize, 2, 4]
-            .into_iter()
-            .map(|root_threads| {
-                BoundedController::new(
-                    model.clone(),
-                    BoundedConfig {
-                        depth: 2,
-                        root_threads,
-                        ..BoundedConfig::default()
-                    },
-                )
-                .unwrap()
-            })
-            .collect();
-        for c in &mut controllers {
-            c.begin(
-                Belief::uniform_over(3, &[StateId::new(0), StateId::new(1)]),
-                None,
-            )
-            .unwrap();
-        }
-        for _ in 0..10 {
-            let steps: Vec<Step> = controllers
-                .iter_mut()
-                .map(|c| c.decide().unwrap())
-                .collect();
-            assert!(steps.iter().all(|s| *s == steps[0]), "diverged: {steps:?}");
-            match steps[0] {
-                Step::Terminate => break,
-                Step::Execute(a) => {
-                    for c in &mut controllers {
-                        c.observe(a, ObservationId::new(1)).unwrap();
-                    }
-                }
-            }
-        }
-        let stats: Vec<_> = controllers.iter().map(|c| c.stats()).collect();
-        assert!(stats.iter().all(|s| *s == stats[0]), "stats diverged");
+        let err = BoundedController::new(
+            model,
+            BoundedConfig {
+                root_threads: 2,
+                ..BoundedConfig::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::InvalidInput { .. }), "{err:?}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   runs on fused posterior operators precomputed per
 //!   `(action, observation)` at model build time, with all scratch in a
 //!   reusable [`PlanWorkspace`] — steady-state decisions allocate
-//!   nothing — and optional root-parallel expansion over `bpr_par`.
+//!   nothing.
 //!
 //! # Examples
 //!

@@ -4,9 +4,10 @@
 //! ([`crate::tree`]) needs beyond the model itself: a free-list arena
 //! of belief buffers, the per-depth action orders of branch-and-bound
 //! nodes (one `(upper estimate, action)` pair per action; branch
-//! posteriors live only in arena buffers), the within-decision
-//! transposition cache, and the [`Decision`] scratch the result is
-//! assembled in. Controllers hold one workspace across
+//! posteriors live only in arena buffers), the per-depth afterstate
+//! tables of the nodes whose action loops are running, the
+//! within-decision transposition cache, and the [`Decision`] scratch
+//! the result is assembled in. Controllers hold one workspace across
 //! decisions, so after the first decision warms the buffers up, a
 //! decision performs **zero heap allocations** (the bench suite's
 //! counting allocator enforces this).
@@ -24,8 +25,7 @@
 //! bit-identical belief and caching never changes any value.
 //! Each entry also stores the number of nodes the subtree expanded, and
 //! a hit re-adds that count, so `Decision::nodes_expanded` is invariant
-//! to both the cache and the distribution of work across parallel root
-//! workers. The cache is **disabled** on budgeted anytime passes,
+//! to the cache. The cache is **disabled** on budgeted anytime passes,
 //! whose abort points must depend only on the literal expansion order.
 //!
 //! The cache holds **interior nodes (remaining depth ≥ 1) only**.
@@ -43,6 +43,31 @@
 //! from one decision to the next: the controller backs its bound up
 //! before each decision, and a backup that adds a plane changes every
 //! leaf value, so carried entries would almost never still be valid.
+//!
+//! Within a decision the cache catches a posterior reached from two
+//! *different* afterstates (different observation masks of different
+//! actions inducing one belief, as on EMN) and a posterior repeated
+//! under different nodes. Two actions of one node with the same
+//! afterstate `P_aᵀπ` (a restart of a component without fault mass
+//! next to `observe`) produce the same posteriors branch by branch;
+//! the node's afterstate table (below, and [`crate::tree`], "What one
+//! Max-Avg node costs") catches those one step earlier and skips the
+//! branch loop, so they never reach the cache. On `emn-serve` they were
+//! most of its hits.
+//!
+//! # Afterstate sharing
+//!
+//! Each node of a cached, unpruned pass opens its depth's afterstate
+//! table before its action loop (a node only recurses one depth down,
+//! so its table survives its own descent). An expanded action records
+//! its key — a fingerprint of its afterstate's bits and its observation
+//! class — the action itself, its branch terms `β·γ(o)·v(o)` in
+//! ascending `o`, and the nodes its branches expanded. A later action
+//! with the same key is compared bit for bit against a recomputed
+//! afterstate of the recorded action; on a match it replays the terms
+//! and the node count. [`PlanStats::afterstate_hits`] counts those
+//! replays. The tables keep their capacity across decisions, so they
+//! allocate only while the first decisions warm them up.
 
 use crate::tree::Decision;
 use bpr_mdp::ActionId;
@@ -66,6 +91,14 @@ pub struct PlanStats {
     /// Cache misses bucketed by remaining depth, parallel to
     /// [`PlanStats::cache_hits_by_depth`].
     pub cache_misses_by_depth: Vec<u64>,
+    /// `(node, action)` pairs whose afterstate `P_aᵀπ` and observation
+    /// matrix equalled an earlier action's at the same node, so they
+    /// replayed that action's branch terms instead of expanding (see
+    /// "Afterstate sharing" in the module docs).
+    pub afterstate_hits: u64,
+    /// Afterstate hits bucketed by the node's remaining depth (index =
+    /// depth), grown like [`PlanStats::cache_hits_by_depth`].
+    pub afterstate_hits_by_depth: Vec<u64>,
     /// Belief buffers allocated because the arena was empty. Steady
     /// state is a constant value: every decision after the first warm
     /// one reuses arena buffers.
@@ -109,6 +142,7 @@ pub struct CacheEpoch {
 pub struct PlanWorkspace {
     arena: Vec<Vec<f64>>,
     orders: Vec<Vec<(f64, usize)>>,
+    afterstates: Vec<AfterstateTable>,
     cache: BeliefCache,
     decision: Decision,
     stats: PlanStats,
@@ -141,6 +175,11 @@ impl PlanWorkspace {
             .for_each(|v| *v = 0);
         self.stats
             .cache_misses_by_depth
+            .iter_mut()
+            .for_each(|v| *v = 0);
+        self.stats.afterstate_hits = 0;
+        self.stats
+            .afterstate_hits_by_depth
             .iter_mut()
             .for_each(|v| *v = 0);
         self.stats.buffers_allocated = 0;
@@ -200,6 +239,81 @@ impl PlanWorkspace {
         &mut self.orders[depth]
     }
 
+    /// Empties the afterstate table of the node at remaining depth
+    /// `depth`, at the start of its action loop. A node only recurses
+    /// into depth `depth - 1`, so its table survives its own descent;
+    /// the tables keep their capacity across decisions.
+    pub(crate) fn afterstate_open(&mut self, depth: usize) {
+        if self.afterstates.len() <= depth {
+            self.afterstates
+                .resize_with(depth + 1, AfterstateTable::default);
+        }
+        let table = &mut self.afterstates[depth];
+        table.entries.clear();
+        table.terms.clear();
+    }
+
+    /// The first entry at or after `from` in the depth-`depth` table
+    /// with `key`, as `(entry, representative action)`. A match is a
+    /// candidate only: the caller compares the representative's
+    /// afterstate bit for bit.
+    pub(crate) fn afterstate_probe(
+        &self,
+        depth: usize,
+        key: AfterstateKey,
+        from: usize,
+    ) -> Option<(usize, usize)> {
+        let entries = &self.afterstates[depth].entries;
+        (from..entries.len())
+            .find(|&i| entries[i].key == key)
+            .map(|i| (i, entries[i].action))
+    }
+
+    /// Appends one branch term `β·γ(o)·v(o)` of the action being
+    /// expanded at the depth-`depth` node.
+    pub(crate) fn afterstate_push_term(&mut self, depth: usize, term: f64) {
+        self.afterstates[depth].terms.push(term);
+    }
+
+    /// Closes the expanded action's entry: the terms pushed since the
+    /// previous entry, and the `nodes` its branches expanded.
+    pub(crate) fn afterstate_record(
+        &mut self,
+        depth: usize,
+        key: AfterstateKey,
+        action: usize,
+        nodes: usize,
+    ) {
+        let table = &mut self.afterstates[depth];
+        let start = table.entries.last().map_or(0, |e| e.terms.end);
+        table.entries.push(Afterstate {
+            key,
+            action,
+            terms: start..table.terms.len(),
+            nodes,
+        });
+    }
+
+    /// Adds `entry`'s terms onto `q` in their stored (ascending
+    /// observation) order and returns the sum with the entry's node
+    /// count, counting the hit.
+    pub(crate) fn afterstate_replay(
+        &mut self,
+        depth: usize,
+        entry: usize,
+        mut q: f64,
+    ) -> (f64, usize) {
+        let table = &self.afterstates[depth];
+        let e = &table.entries[entry];
+        for &term in &table.terms[e.terms.clone()] {
+            q += term;
+        }
+        let nodes = e.nodes;
+        self.stats.afterstate_hits += 1;
+        PlanStats::bump_depth(&mut self.stats.afterstate_hits_by_depth, depth);
+        (q, nodes)
+    }
+
     pub(crate) fn cache_get(&mut self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize)> {
         let hit = self.cache.get(depth, key);
         if hit.is_some() {
@@ -248,6 +362,54 @@ impl PlanWorkspace {
         self.decision.value = value;
         self.decision.nodes_expanded = nodes;
     }
+}
+
+/// What two actions at one node must share before their afterstates
+/// are compared bit for bit: a fingerprint of the afterstate's bits
+/// ([`afterstate_fingerprint`]) and the observation class
+/// ([`crate::Pomdp::observation_class`]).
+pub(crate) type AfterstateKey = (u64, usize);
+
+/// One expanded action of a node's afterstate table.
+#[derive(Debug, Clone)]
+struct Afterstate {
+    key: AfterstateKey,
+    /// The action whose afterstate this is; a candidate recomputes it.
+    action: usize,
+    /// The action's branch terms: `AfterstateTable::terms[terms]`.
+    terms: std::ops::Range<usize>,
+    /// Nodes its branches expanded.
+    nodes: usize,
+}
+
+/// The expanded actions of the node whose action loop is running at
+/// one depth. No afterstate is stored: a fingerprint match recomputes
+/// the representative's, so the table stays `O(|A| + branches)`.
+#[derive(Debug, Clone, Default)]
+struct AfterstateTable {
+    entries: Vec<Afterstate>,
+    terms: Vec<f64>,
+}
+
+/// A 64-bit fingerprint of an afterstate's bits: FNV-1a steps in four
+/// independent lanes (entry `i` in lane `i % 4`), folded together at
+/// the end. Equal vectors give equal fingerprints; a collision only
+/// costs a bitwise comparison.
+pub(crate) fn afterstate_fingerprint(pred: &[f64]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let chunks = pred.chunks_exact(4);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (h, w) in lanes.iter_mut().zip(chunk) {
+            *h = fnv(*h, w.to_bits());
+        }
+    }
+    for (h, w) in lanes.iter_mut().zip(tail) {
+        *h = fnv(*h, w.to_bits());
+    }
+    lanes
+        .iter()
+        .fold(fnv(FNV_OFFSET, pred.len() as u64), |h, &l| fnv(h, l))
 }
 
 /// How a belief is written into the transposition cache: a word

@@ -37,8 +37,33 @@
 //!
 //! # What one Max-Avg node costs
 //!
-//! Three rules keep a `(node, action)` pair cheap on both layouts, and
+//! Four rules keep a `(node, action)` pair cheap on both layouts, and
 //! each changes no bit of any decision or node count:
+//!
+//! - **Actions with the same afterstate share one expansion.** Within
+//!   one node, many actions reach the same predicted belief
+//!   `pred = P_aᵀ π`: a restart of a component that holds no fault
+//!   mass moves the belief exactly as `observe` does. On cached,
+//!   unpruned passes each node keeps a small afterstate table in the
+//!   workspace (`PlanWorkspace::afterstate_open` at the start of its
+//!   action loop). After computing `pred`, an action looks for an
+//!   earlier action of the node with the same observation class
+//!   (`Pomdp::observation_class`) and a bit-identical `pred`. On a hit
+//!   it skips the branch masses and the branch loop: it adds the
+//!   earlier action's stored terms `β·γ(o)·v(o)`, in ascending `o`, onto
+//!   its own `dot(π, r_a)`, and adds the earlier action's subtree node
+//!   count, as a transposition-cache hit does. The argument: the same
+//!   `pred` bits and the same `Q_a` (one class is one bit-identical
+//!   matrix) give the same `γ`, the same surviving branches and the
+//!   same posteriors, hence the same child values, since a child's
+//!   value is a function of its posterior and depth alone. Only the
+//!   reward differs, and it is the first addend on both paths, so the
+//!   q is the same sum of the same addends in the same order. The table
+//!   stores no afterstate: it keys each expanded action by a 64-bit
+//!   fingerprint of `pred` and its class, and a fingerprint match
+//!   recomputes the earlier action's `pred` into an arena buffer and
+//!   compares every bit, so a collision can never share. Budgeted
+//!   passes and branch-and-bound stay literal.
 //!
 //! - **Branch masses first.** One transposed SpMV
 //!   `γ = Q_aᵀ · (P_aᵀ π)` over the state-major
@@ -68,11 +93,13 @@
 //!   the last maximal plane still wins.
 
 use crate::bounds::ValueBound;
-use crate::plan::{BeliefKey, CacheEpoch, PlanWorkspace, Prehashed, SparseKey};
+use crate::plan::{
+    afterstate_fingerprint, AfterstateKey, BeliefKey, CacheEpoch, PlanWorkspace, Prehashed,
+    SparseKey,
+};
 use crate::{Belief, Error, Pomdp};
 use bpr_linalg::{dense, CsrMatrix};
 use bpr_mdp::ActionId;
-use bpr_par::WorkPool;
 
 /// The decision produced by a tree expansion.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,6 +261,9 @@ fn expand_root<L: Layout>(
         best
     } else {
         ws.decision_clear();
+        if kernel.plain.shares_afterstates() {
+            ws.afterstate_open(depth);
+        }
         for a in 0..n_actions {
             let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
                 return Err(nodes);
@@ -244,52 +274,6 @@ fn expand_root<L: Layout>(
     };
     ws.finish_decision(ActionId::new(best_a), best_q, nodes);
     Ok(nodes)
-}
-
-/// Root-parallel [`expand_with_cutoff`]: the root actions are expanded
-/// concurrently over a [`WorkPool`], each worker holding its own
-/// private [`PlanWorkspace`].
-///
-/// The returned [`Decision`] is **bit-identical** to the sequential
-/// path at every pool width: each root action's subtree value is a pure
-/// function of `(belief, action, depth)`, transposition-cache hits
-/// replay the exact value and node count the subtree would have
-/// expanded (so per-action node counts are independent of how actions
-/// are grouped onto workers or caches), and the root argmax runs over
-/// the index-ordered q-values exactly as in the sequential code.
-///
-/// # Errors
-///
-/// Same as [`expand_with_cutoff`].
-pub fn expand_par(
-    pomdp: &Pomdp,
-    belief: &Belief,
-    depth: usize,
-    leaf: &(dyn ValueBound + Sync),
-    beta: f64,
-    gamma_cutoff: f64,
-    pool: &WorkPool,
-) -> Result<Decision, Error> {
-    if depth == 0 {
-        return Err(depth_zero_error());
-    }
-    let results: Vec<(f64, usize)> =
-        pool.map_indices_with(pomdp.n_actions(), PlanWorkspace::new, |ws, a| {
-            let mut nodes = 0usize;
-            let q = Plain::unbudgeted(pomdp, leaf, beta, gamma_cutoff)
-                .action_q(ws, belief.probs(), a, depth, &mut nodes)
-                .expect("unbudgeted expansion never aborts");
-            (q, nodes)
-        });
-    let q_values: Vec<f64> = results.iter().map(|&(q, _)| q).collect();
-    let nodes_expanded = results.iter().map(|&(_, n)| n).sum();
-    let (best_a, best_q) = argmax_last(&q_values);
-    Ok(Decision {
-        action: ActionId::new(best_a),
-        value: best_q,
-        q_values,
-        nodes_expanded,
-    })
 }
 
 /// Outcome of one budgeted (anytime) expansion pass.
@@ -438,6 +422,14 @@ impl<'a> Plain<'a> {
         }
     }
 
+    /// Whether actions with the same afterstate share one branch
+    /// expansion: on cached, unpruned passes only. Budgeted passes stay
+    /// literal like the cache, so their abort points do not move, and
+    /// branch-and-bound stays literal as well.
+    fn shares_afterstates(&self) -> bool {
+        self.use_cache && self.upper.is_none()
+    }
+
     /// The kernel on `layout`.
     fn on<L: Layout>(self, layout: L) -> Kernel<'a, L> {
         Kernel {
@@ -457,22 +449,6 @@ impl<'a> Plain<'a> {
             expand_root(&self.on(Sparse), belief, depth, ws)
         } else {
             expand_root(&self.on(Dense), belief, depth, ws)
-        }
-    }
-
-    /// [`Kernel::action_q`] on the model's layout.
-    fn action_q(
-        self,
-        ws: &mut PlanWorkspace,
-        belief: &[f64],
-        a: usize,
-        depth: usize,
-        nodes: &mut usize,
-    ) -> Option<f64> {
-        if self.pomdp.sparse_branches() {
-            self.on(Sparse).action_q(ws, belief, a, depth, nodes)
-        } else {
-            self.on(Dense).action_q(ws, belief, a, depth, nodes)
         }
     }
 }
@@ -620,9 +596,14 @@ impl<L: Layout> Kernel<'_, L> {
         depth: usize,
         nodes: &mut usize,
     ) -> Option<f64> {
-        self.branch_sum(ws, belief, a, |ws, post, support| {
+        let value = |ws: &mut PlanWorkspace, post: &[f64], support: &[usize], nodes: &mut usize| {
             self.node_value(ws, post, support, depth - 1, nodes)
-        })
+        };
+        if self.plain.shares_afterstates() {
+            self.branch_sum::<true>(ws, belief, a, depth, nodes, value)
+        } else {
+            self.branch_sum::<false>(ws, belief, a, depth, nodes, value)
+        }
     }
 
     /// Writes every action's `(upper estimate, action)` into the
@@ -640,7 +621,7 @@ impl<L: Layout> Kernel<'_, L> {
         ws.action_order(depth).clear();
         for a in 0..self.plain.pomdp.n_actions() {
             let q_ub = self
-                .branch_sum(ws, belief, a, |_, post, support| {
+                .branch_sum::<false>(ws, belief, a, depth, &mut 0, |_, post, support, _| {
                     Some(self.layout.leaf(upper, post, support))
                 })
                 .expect("leaf scoring never aborts");
@@ -656,7 +637,8 @@ impl<L: Layout> Kernel<'_, L> {
     /// The branch loop of one `(node, action)` pair: the expected
     /// reward plus `β γ(o) value(o)` over the surviving observation
     /// branches in ascending `o`, where `value` scores the normalised
-    /// branch on its support; `None` as soon as `value` aborts.
+    /// branch on its support and counts its nodes; `None` as soon as
+    /// `value` aborts.
     ///
     /// Branch masses come first: one transposed SpMV
     /// `γ = Q_aᵀ · pred` over the state-major observation matrix
@@ -668,12 +650,25 @@ impl<L: Layout> Kernel<'_, L> {
     /// unstored `q`, a zero `pred(s)`, a dense mirror's padding) is
     /// `+0.0`, which leaves a non-negative sum unchanged, so the two
     /// agree bit for bit (debug-asserted below).
-    fn branch_sum(
+    ///
+    /// With `SHARE` the pair takes part in the afterstate table of its
+    /// node, which has `depth` remaining layers: if an earlier action of
+    /// the node had the same observation class and a bit-identical
+    /// `pred`, its stored terms are added onto this action's reward
+    /// and its node count onto `nodes`, and no branch is expanded;
+    /// otherwise the pair records its own terms for later actions.
+    /// `SHARE` is a const parameter so the literal loops (budgeted
+    /// passes, branch-and-bound, upper estimates) compile without the
+    /// table code: as a runtime flag it slowed them by about 5 % on the
+    /// sparse layout.
+    fn branch_sum<const SHARE: bool>(
         &self,
         ws: &mut PlanWorkspace,
         belief: &[f64],
         a: usize,
-        mut value: impl FnMut(&mut PlanWorkspace, &[f64], &[usize]) -> Option<f64>,
+        depth: usize,
+        nodes: &mut usize,
+        mut value: impl FnMut(&mut PlanWorkspace, &[f64], &[usize], &mut usize) -> Option<f64>,
     ) -> Option<f64> {
         let p = &self.plain;
         let action = ActionId::new(a);
@@ -684,6 +679,21 @@ impl<L: Layout> Kernel<'_, L> {
             .mdp()
             .transition_matrix(action)
             .matvec_transpose_into_unchecked(belief, &mut pred);
+        let key = SHARE.then(|| {
+            (
+                afterstate_fingerprint(&pred),
+                p.pomdp.observation_class(action),
+            )
+        });
+        if let Some(key) = key {
+            if let Some(entry) = self.earlier_afterstate(ws, belief, &pred, depth, key) {
+                ws.release(pred);
+                let (q, sub) = ws.afterstate_replay(depth, entry, q);
+                *nodes += sub;
+                return Some(q);
+            }
+        }
+        let before = *nodes;
         let mut gammas = ws.checkout(p.pomdp.n_observations());
         p.pomdp
             .observation_matrix(action)
@@ -706,8 +716,14 @@ impl<L: Layout> Kernel<'_, L> {
                 // non-zero mass (non-zero is established above).
                 self.layout.normalize(&mut post, support, gamma);
             }
-            match value(ws, &post, support) {
-                Some(v) => q += p.beta * gamma * v,
+            match value(ws, &post, support, nodes) {
+                Some(v) => {
+                    let term = p.beta * gamma * v;
+                    q += term;
+                    if SHARE {
+                        ws.afterstate_push_term(depth, term);
+                    }
+                }
                 None => aborted = true,
             }
             self.layout.clear(&mut post, support);
@@ -719,10 +735,46 @@ impl<L: Layout> Kernel<'_, L> {
         ws.release(gammas);
         ws.release(pred);
         if aborted {
-            None
-        } else {
-            Some(q)
+            return None;
         }
+        if let Some(key) = key {
+            ws.afterstate_record(depth, key, a, *nodes - before);
+        }
+        Some(q)
+    }
+
+    /// The entry of an earlier action at the depth-`depth` node whose
+    /// afterstate is `pred` bit for bit, under `key`'s observation
+    /// class. Each fingerprint match recomputes the representative's
+    /// afterstate into an arena buffer and compares every bit, so a
+    /// collision never shares.
+    fn earlier_afterstate(
+        &self,
+        ws: &mut PlanWorkspace,
+        belief: &[f64],
+        pred: &[f64],
+        depth: usize,
+        key: AfterstateKey,
+    ) -> Option<usize> {
+        let mut from = 0;
+        while let Some((entry, rep)) = ws.afterstate_probe(depth, key, from) {
+            let mut other = ws.checkout(pred.len());
+            self.plain
+                .pomdp
+                .mdp()
+                .transition_matrix(ActionId::new(rep))
+                .matvec_transpose_into_unchecked(belief, &mut other);
+            let same = other
+                .iter()
+                .zip(pred)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            ws.release(other);
+            if same {
+                return Some(entry);
+            }
+            from = entry + 1;
+        }
+        None
     }
 
     /// `max_a Q(belief, a)` at `depth ≥ 1` remaining layers with
@@ -789,6 +841,9 @@ impl<L: Layout> Kernel<'_, L> {
         let value = if let Some(upper) = p.upper {
             self.pruned_max(ws, belief, depth, upper, nodes)?
         } else {
+            if p.shares_afterstates() {
+                ws.afterstate_open(depth);
+            }
             let mut best = f64::NEG_INFINITY;
             for a in 0..p.pomdp.n_actions() {
                 let q = self.action_q(ws, belief, a, depth, nodes)?;
@@ -1075,8 +1130,6 @@ mod tests {
         let bound = ConstantBound(0.0);
         assert!(expand_with_cutoff(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0).is_err());
         assert!(legacy::expand_with_cutoff(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0).is_err());
-        let pool = WorkPool::serial();
-        assert!(expand_par(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0, &pool).is_err());
         let mut ws = PlanWorkspace::new();
         assert!(
             expand_budgeted(&p, &Belief::uniform(3), 0, &bound, 1.0, 0.0, 10, &mut ws).is_err()
@@ -1250,22 +1303,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_root_expansion_is_bit_identical() {
-        let p = two_server_notified();
-        let ra = ra_bound(&p, &SolveOpts::default()).unwrap();
-        for b in probe_beliefs() {
-            for depth in 1..=3 {
-                let sequential = expand_with_cutoff(&p, &b, depth, &ra, 1.0, 0.0).unwrap();
-                for width in [1usize, 2, 4] {
-                    let pool = WorkPool::new(width).unwrap();
-                    let parallel = expand_par(&p, &b, depth, &ra, 1.0, 0.0, &pool).unwrap();
-                    assert_eq!(sequential, parallel, "depth={depth} width={width}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn workspace_reuse_is_steady_state() {
         let p = two_server_notified();
         let ra = ra_bound(&p, &SolveOpts::default()).unwrap();
@@ -1308,8 +1345,73 @@ mod tests {
         let mut ws = PlanWorkspace::new();
         expand_with_workspace(&p, &Belief::uniform(3), 3, &bound, 1.0, 0.0, &mut ws).unwrap();
         // Restart actions collapse onto identical posteriors, so a
-        // depth-3 tree revisits nodes.
+        // depth-3 tree revisits nodes. Where two actions of one node
+        // reach the same afterstate, the second replays the first's
+        // branches (an afterstate hit) and never looks its posteriors
+        // up; a posterior reached from different afterstates, or from
+        // another node, is still a transposition-cache hit.
+        assert!(ws.stats().afterstate_hits > 0, "stats: {:?}", ws.stats());
         assert!(ws.stats().cache_hits > 0, "stats: {:?}", ws.stats());
+    }
+
+    /// Three actions with one transition matrix, so their afterstates
+    /// are bit-identical at every belief. Actions 0 and 2 share an
+    /// observation matrix; action 1 has its own.
+    fn one_afterstate_two_classes_model() -> Pomdp {
+        use crate::PomdpBuilder;
+        use bpr_mdp::MdpBuilder;
+        let (n, no) = (4, 3);
+        let mut mb = MdpBuilder::new(n, 3);
+        for a in 0..3 {
+            for s in 0..n {
+                mb.transition(s, a, s, 0.625);
+                mb.transition(s, a, (s + 1) % n, 0.375);
+                mb.reward(s, a, -1.0 - (3 * s + a) as f64 / 7.0);
+            }
+        }
+        let mut pb = PomdpBuilder::new(mb.build().unwrap(), no);
+        for s in 0..n {
+            for a in [0, 2] {
+                pb.observation(s, a, s % no, 0.7);
+                pb.observation(s, a, (s + 1) % no, 0.3);
+            }
+            pb.observation(s, 1, (s + 2) % no, 0.9);
+            pb.observation(s, 1, s % no, 0.1);
+        }
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn equal_afterstates_share_only_within_an_observation_class() {
+        let p = one_afterstate_two_classes_model();
+        let a = |i| ActionId::new(i);
+        assert_eq!(p.observation_class(a(0)), p.observation_class(a(2)));
+        assert_ne!(p.observation_class(a(0)), p.observation_class(a(1)));
+        let n = p.n_states();
+        let bound =
+            VectorSetBound::from_vector((0..n).map(|s| -2.0 - 3.0 * s as f64).collect()).unwrap();
+        let mut ws = PlanWorkspace::new();
+        for b in [
+            Belief::uniform(n),
+            Belief::from_probs(vec![0.55, 0.05, 0.3, 0.1]).unwrap(),
+        ] {
+            for depth in 1..=2 {
+                ws.reset_stats();
+                expand_with_workspace(&p, &b, depth, &bound, 1.0, 0.0, &mut ws).unwrap();
+                let old = legacy::expand_with_cutoff(&p, &b, depth, &bound, 1.0, 0.0).unwrap();
+                assert_eq!(decision_bits(ws.decision()), decision_bits(&old));
+                // Action 1's q differs from action 0's by more than its
+                // reward: its branches are its own.
+                assert_ne!(
+                    old.q_values[1] - old.q_values[0],
+                    b.expected_reward(&p, a(1)) - b.expected_reward(&p, a(0))
+                );
+                // Only action 2 replays action 0's branches: one hit at
+                // the root.
+                let stats = ws.stats();
+                assert_eq!(stats.afterstate_hits_by_depth[depth], 1, "{stats:?}");
+            }
+        }
     }
 
     /// A 40-state model whose observation rows are mostly empty: every

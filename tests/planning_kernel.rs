@@ -2,8 +2,8 @@
 //!
 //! The fused tree expansion (`bpr_pomdp::tree`) replaces the legacy
 //! per-node successor rebuild with precomputed `τ_{a,o}` operators,
-//! workspace scratch, a transposition cache, and optional root
-//! parallelism. Its contract is *bit-identity*: the same `γ` values,
+//! workspace scratch, a transposition cache, and afterstate sharing
+//! between actions of one node. Its contract is *bit-identity*: the same `γ` values,
 //! posteriors, branch order, q-values, tie-breaking, and node counts as
 //! the retained legacy path — for every model, belief, and cutoff, not
 //! just the case-study models. These properties drive randomly
@@ -21,7 +21,6 @@ use bpr_core::anytime_expand_with_workspace;
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::value_iteration::Discount;
 use bpr_mdp::{ActionId, MdpBuilder};
-use bpr_par::WorkPool;
 use bpr_pomdp::bounds::{qmdp_bound, ra_bound, ConstantBound, ValueBound, VectorSetBound};
 use bpr_pomdp::tree::Decision;
 use bpr_pomdp::{tree, Belief, PlanWorkspace, Pomdp, PomdpBuilder};
@@ -201,10 +200,10 @@ fn decision_bits(d: &Decision) -> (usize, u64, Vec<u64>, usize) {
 
 /// Every entry point against the legacy decision, bit for bit: the
 /// workspace pass on a fresh workspace and again on one dirtied by a
-/// decision on a different belief (with the same cache traffic as the
-/// fresh pass, so no entry leaks from one decision into the next), an
-/// exact-budget pass (and its one-short abort),
-/// root-parallel expansion at widths 1 and 2, and branch-and-bound
+/// decision on a different belief (with the same cache and afterstate
+/// traffic as the fresh pass, so no entry leaks from one decision into
+/// the next), an
+/// exact-budget pass (and its one-short abort), and branch-and-bound
 /// with `upper` against the legacy branch-and-bound.
 fn assert_entry_points_match_legacy(
     pomdp: &Pomdp,
@@ -221,7 +220,10 @@ fn assert_entry_points_match_legacy(
     tree::expand_with_workspace(pomdp, belief, depth, leaf, 1.0, cutoff, &mut ws)
         .expect("workspace pass expands");
     assert_eq!(decision_bits(ws.decision()), want, "workspace pass");
-    let traffic = |ws: &PlanWorkspace| (ws.stats().cache_hits, ws.stats().cache_misses);
+    let traffic = |ws: &PlanWorkspace| {
+        let stats = ws.stats();
+        (stats.cache_hits, stats.cache_misses, stats.afterstate_hits)
+    };
     let fresh = traffic(&ws);
     let n = pomdp.n_states();
     let other = if *belief == Belief::uniform(n) {
@@ -237,9 +239,9 @@ fn assert_entry_points_match_legacy(
     assert_eq!(decision_bits(ws.decision()), want, "dirty workspace pass");
     let after = traffic(&ws);
     assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2),
         fresh,
-        "dirty workspace pass saw other cache traffic than a fresh one"
+        "dirty workspace pass saw other cache or afterstate traffic than a fresh one"
     );
     let nodes = old.nodes_expanded;
     let pass = tree::expand_budgeted(pomdp, belief, depth, leaf, 1.0, cutoff, nodes, &mut ws)
@@ -249,12 +251,6 @@ fn assert_entry_points_match_legacy(
     let short = tree::expand_budgeted(pomdp, belief, depth, leaf, 1.0, cutoff, nodes - 1, &mut ws)
         .expect("budgeted pass expands");
     assert!(!short.completed);
-    for width in [1usize, 2] {
-        let pool = WorkPool::new(width).expect("positive width");
-        let parallel = tree::expand_par(pomdp, belief, depth, leaf, 1.0, cutoff, &pool)
-            .expect("parallel expands");
-        assert_eq!(decision_bits(&parallel), want, "parallel width {width}");
-    }
     let old = tree::legacy::expand_branch_and_bound(pomdp, belief, depth, leaf, upper, 1.0, cutoff)
         .expect("legacy b&b expands");
     tree::expand_branch_and_bound_with_workspace(
@@ -266,6 +262,213 @@ fn assert_entry_points_match_legacy(
         decision_bits(&old),
         "branch-and-bound pass"
     );
+}
+
+/// How an action of [`build_copying`] copies an earlier one.
+#[derive(Debug, Clone)]
+struct CopiedRows {
+    /// The earlier action copied.
+    source: usize,
+    /// The states whose transition rows are the source's.
+    states: Vec<bool>,
+    /// Whether the whole observation matrix is the source's too.
+    same_observations: bool,
+}
+
+/// A random model in which some actions copy an earlier action's
+/// transition rows on a random subset of states (sometimes all of
+/// them), and some of those also copy its observation matrix. Two
+/// such actions have bit-identical afterstates `P_aᵀπ` at every belief
+/// supported on the copied states, and different ones elsewhere;
+/// rewards are drawn per action, so they always differ. `sparse`
+/// draws the shape of [`build_sparse`] (at most two observations per
+/// state), which takes the sparse branch layout.
+fn build_copying(spec: &RandomPomdp, sparse: bool) -> (Pomdp, Vec<Option<CopiedRows>>) {
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0xc0b1);
+    let (n, na, no) = (spec.n_states, spec.n_actions, spec.n_obs);
+    let mut transitions: Vec<Vec<Vec<f64>>> = Vec::with_capacity(na);
+    let mut observations: Vec<Vec<Vec<f64>>> = Vec::with_capacity(na);
+    let mut copies = Vec::with_capacity(na);
+    for a in 0..na {
+        let copy = (a > 0 && rng.gen_bool(0.7)).then(|| {
+            let all = rng.gen_bool(0.25);
+            CopiedRows {
+                source: rng.gen_range(0..a),
+                states: (0..n).map(|_| all || rng.gen_bool(0.5)).collect(),
+                same_observations: rng.gen_bool(0.5),
+            }
+        });
+        let rows = (0..n)
+            .map(|s| match &copy {
+                Some(c) if c.states[s] => transitions[c.source][s].clone(),
+                _ => random_row(&mut rng, n, if sparse { 0.08 } else { 0.7 }),
+            })
+            .collect();
+        let obs = match &copy {
+            Some(c) if c.same_observations => observations[c.source].clone(),
+            _ => (0..n)
+                .map(|_| {
+                    if !sparse {
+                        return random_row(&mut rng, no, 0.6);
+                    }
+                    let mut row = vec![0.0; no];
+                    let (first, second) = (rng.gen_range(0..no), rng.gen_range(0..no));
+                    if first == second {
+                        row[first] = 1.0;
+                    } else {
+                        let q = rng.gen::<f64>() * 0.9 + 0.05;
+                        row[first] = q;
+                        row[second] = 1.0 - q;
+                    }
+                    row
+                })
+                .collect(),
+        };
+        transitions.push(rows);
+        observations.push(obs);
+        copies.push(copy);
+    }
+    let mut mb = MdpBuilder::new(n, na);
+    for (a, rows) in transitions.iter().enumerate() {
+        for (s, row) in rows.iter().enumerate() {
+            for (s2, &p) in row.iter().enumerate() {
+                if p > 0.0 {
+                    mb.transition(s, a, s2, p);
+                }
+            }
+            mb.reward(s, a, -rng.gen::<f64>() * 3.0);
+        }
+    }
+    let mut pb = PomdpBuilder::new(mb.build().expect("random MDP builds"), no);
+    for (a, rows) in observations.iter().enumerate() {
+        for (s2, row) in rows.iter().enumerate() {
+            for (o, &q) in row.iter().enumerate() {
+                if q > 0.0 {
+                    pb.observation(s2, a, o, q);
+                }
+            }
+        }
+    }
+    let pomdp = pb.build().expect("random POMDP builds");
+    assert_eq!(
+        takes_sparse_layout(&pomdp),
+        sparse,
+        "layout of the drawn shape"
+    );
+    (pomdp, copies)
+}
+
+/// [`probe_beliefs`] plus beliefs on which the first copying action's
+/// afterstate equals its source's: a point on its first copied state
+/// and a random mix over all its copied states.
+fn copying_beliefs(pomdp: &Pomdp, copies: &[Option<CopiedRows>], seed: u64) -> Vec<Belief> {
+    let mut out = probe_beliefs(pomdp, seed);
+    let n = pomdp.n_states();
+    let Some(copy) = copies.iter().flatten().next() else {
+        return out;
+    };
+    let copied: Vec<usize> = (0..n).filter(|&s| copy.states[s]).collect();
+    let Some(&first) = copied.first() else {
+        return out;
+    };
+    out.push(Belief::point(n, first.into()));
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x51a7);
+    let mut probs = vec![0.0; n];
+    for &s in &copied {
+        probs[s] = rng.gen::<f64>() + 0.05;
+    }
+    let sum: f64 = probs.iter().sum();
+    for p in probs.iter_mut() {
+        *p /= sum;
+    }
+    out.push(Belief::from_probs(probs).expect("normalised"));
+    out
+}
+
+/// `expand_with_workspace` against `legacy::expand_with_cutoff`, bit
+/// for bit with node counts, at every [`copying_beliefs`] belief, on
+/// one reused workspace; returns the workspace's afterstate hits by
+/// remaining depth.
+fn assert_copying_model_matches_legacy(
+    spec: &RandomPomdp,
+    sparse: bool,
+    depth: usize,
+    cutoff: f64,
+) -> Vec<u64> {
+    let (pomdp, copies) = build_copying(spec, sparse);
+    let lower = random_lower_with_zero_plane(&pomdp, spec.seed);
+    let mut ws = PlanWorkspace::new();
+    for belief in copying_beliefs(&pomdp, &copies, spec.seed) {
+        let old = tree::legacy::expand_with_cutoff(&pomdp, &belief, depth, &lower, 1.0, cutoff)
+            .expect("legacy expands");
+        tree::expand_with_workspace(&pomdp, &belief, depth, &lower, 1.0, cutoff, &mut ws)
+            .expect("workspace pass expands");
+        assert_eq!(
+            decision_bits(ws.decision()),
+            decision_bits(&old),
+            "{spec:?} sparse={sparse} depth={depth} cutoff={cutoff:e} copies={copies:?}"
+        );
+    }
+    ws.stats().afterstate_hits_by_depth.clone()
+}
+
+fn arb_copying_pomdp() -> impl Strategy<Value = RandomPomdp> {
+    (2usize..=5, 2usize..=4, 2usize..=6, 0u64..1 << 32).prop_map(
+        |(n_states, n_actions, n_obs, seed)| RandomPomdp {
+            n_states,
+            n_actions,
+            n_obs,
+            seed,
+        },
+    )
+}
+
+fn arb_sparse_copying_pomdp() -> impl Strategy<Value = RandomPomdp> {
+    (32usize..=40, 2usize..=3, 16usize..=20, 0u64..1 << 32).prop_map(
+        |(n_states, n_actions, n_obs, seed)| RandomPomdp {
+            n_states,
+            n_actions,
+            n_obs,
+            seed,
+        },
+    )
+}
+
+#[test]
+fn copied_rows_share_afterstates_at_the_root_and_inside_the_tree() {
+    // The properties below would pass vacuously if no pair ever shared:
+    // over a fixed set of seeds, both layouts share at the root and at
+    // interior nodes.
+    for sparse in [false, true] {
+        let mut hits = vec![0u64; 3];
+        for seed in 0..16u64 {
+            let spec = if sparse {
+                RandomPomdp {
+                    n_states: 32 + seed as usize % 9,
+                    n_actions: 3,
+                    n_obs: 16,
+                    seed,
+                }
+            } else {
+                RandomPomdp {
+                    n_states: 3 + seed as usize % 3,
+                    n_actions: 4,
+                    n_obs: 4,
+                    seed,
+                }
+            };
+            let by_depth = assert_copying_model_matches_legacy(&spec, sparse, 2, 0.0);
+            for (total, h) in hits.iter_mut().zip(&by_depth) {
+                *total += h;
+            }
+        }
+        assert_eq!(hits[0], 0, "leaves have no action loop");
+        assert!(
+            hits[1] > 0,
+            "sparse={sparse}: no interior sharing: {hits:?}"
+        );
+        assert!(hits[2] > 0, "sparse={sparse}: no root sharing: {hits:?}");
+    }
 }
 
 /// The QMDP upper bound at discount 0.95. Every reward of the random
@@ -311,22 +514,21 @@ proptest! {
     }
 
     #[test]
-    fn parallel_roots_match_sequential_decisions(
-        spec in arb_pomdp(),
-        depth in 1usize..=2,
+    fn equal_afterstates_match_legacy_on_the_dense_layout(
+        spec in arb_copying_pomdp(),
+        depth in 1usize..=3,
+        cutoff in prop_oneof![Just(0.0), Just(1e-3)],
     ) {
-        let pomdp = build(&spec);
-        let lower = random_lower(&pomdp, spec.seed);
-        for belief in probe_beliefs(&pomdp, spec.seed) {
-            let sequential = tree::expand_with_cutoff(&pomdp, &belief, depth, &lower, 1.0, 0.0)
-                .expect("sequential expands");
-            for width in [1usize, 2, 4] {
-                let pool = WorkPool::new(width).expect("positive width");
-                let parallel = tree::expand_par(&pomdp, &belief, depth, &lower, 1.0, 0.0, &pool)
-                    .expect("parallel expands");
-                prop_assert_eq!(&sequential, &parallel, "width {}", width);
-            }
-        }
+        assert_copying_model_matches_legacy(&spec, false, depth, cutoff);
+    }
+
+    #[test]
+    fn equal_afterstates_match_legacy_on_the_sparse_layout(
+        spec in arb_sparse_copying_pomdp(),
+        depth in 1usize..=3,
+        cutoff in prop_oneof![Just(0.0), Just(1e-3)],
+    ) {
+        assert_copying_model_matches_legacy(&spec, true, depth, cutoff);
     }
 
     #[test]
