@@ -45,6 +45,11 @@ cargo run -p bpr-bench --bin planning --release -- \
   --decisions 40 --depth 2 \
   --min-speedup 5 --out "$out/BENCH_planning_emn.json"
 
+echo "==> planning identity smoke at depth 3 on EMN (no speedup gate; fails on fused or branch-and-bound divergence from legacy, or on steady-state allocations: frontier nodes under two interior layers, whose skipped actions' node counts replay through the depth-2 cache)"
+cargo run -p bpr-bench --bin planning --release -- \
+  --decisions 10 --depth 3 --cutoff 1e-2 \
+  --out "$out/BENCH_planning_emn_d3.json"
+
 echo "==> planning identity smoke at depth 2 on a generated 10^2-state scenario (no speedup gate; fails on fused or branch-and-bound divergence from legacy, or on steady-state allocations: a second model family for the interior-node afterstate sharing)"
 cargo run -p bpr-bench --bin planning --release -- \
   --scenario web3tier-small --decisions 10 --depth 2 \

@@ -2,7 +2,8 @@
 //! (paper §4.3's off-line cost), belief updates, incremental backups
 //! (on the RA-Bound, on a grown EMN bound and on the 10³-state
 //! `cellfleet-mid`), the QMDP/FIB upper bounds, and whole-decision tree
-//! expansion (legacy vs fused kernel) at depths 2–3.
+//! expansion (legacy vs fused kernel) at depths 2–3, plus the fused
+//! kernel at depth 2 on a grown, multi-plane EMN leaf set.
 
 use bpr_bench::experiments::emn_model;
 use bpr_core::scenario::Scenario;
@@ -170,6 +171,17 @@ fn bench_tree_expansion(c: &mut Criterion) {
             })
         });
     }
+    // The single-plane RA-Bound above is its own envelope, so frontier
+    // nodes bound their actions exactly there; the daemon's leaf set
+    // has many planes. The same decision on the RA-Bound grown to 25.
+    let grown = grown_bound(&t, 25);
+    c.bench_function("tree_expand_fused_emn_d2_grown", |b| {
+        let mut ws = PlanWorkspace::new();
+        b.iter(|| {
+            tree::expand_with_workspace(pomdp, black_box(&belief), 2, &grown, 1.0, 1e-3, &mut ws)
+                .expect("fused expansion succeeds")
+        })
+    });
 }
 
 criterion_group! {

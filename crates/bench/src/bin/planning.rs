@@ -27,7 +27,9 @@
 //! Results land in `BENCH_planning_<scenario>.json`; its `cache` block
 //! counts the cold decisions' transposition-cache hits and misses and
 //! their afterstate hits (actions that replayed an earlier action's
-//! branches at the same node), each also by remaining depth.
+//! branches at the same node), each also by remaining depth, and their
+//! frontier skips (actions of nodes one layer above the leaves that
+//! the leaf bound's envelope showed cannot win, so were not expanded).
 //!
 //! Usage:
 //! `cargo run -p bpr-bench --bin planning --release -- \
@@ -272,8 +274,8 @@ fn main() {
 
     let stats = ws.stats().clone();
     println!(
-        "  cold cache: {}/{} hits/misses, {} afterstate hits",
-        stats.cache_hits, stats.cache_misses, stats.afterstate_hits
+        "  cold cache: {}/{} hits/misses, {} afterstate hits, {} frontier actions skipped",
+        stats.cache_hits, stats.cache_misses, stats.afterstate_hits, stats.frontier_skipped
     );
 
     // --- Branch-and-bound on the quotient with a QMDP upper bound, cold
@@ -371,7 +373,9 @@ fn main() {
     write_u64s(&mut json, &stats.afterstate_hits_by_depth);
     let _ = write!(
         json,
-        "}},\n  \"speedup_cold_over_legacy\": {cold_speedup:.3}\n}}\n",
+        ",\n    \"frontier_skipped\": {}}},\n  \
+         \"speedup_cold_over_legacy\": {cold_speedup:.3}\n}}\n",
+        stats.frontier_skipped
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("wrote {out_path}");

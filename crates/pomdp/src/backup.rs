@@ -27,8 +27,9 @@ pub struct BackupOutcome {
     pub action: ActionId,
 }
 
-/// Relative margin of the action-pruning test in [`incremental_backup`].
-const PRUNE_TOLERANCE: f64 = 1e-9;
+/// Relative margin of the action-pruning test in [`incremental_backup`]
+/// and of the tree kernel's frontier nodes ([`crate::tree`]).
+pub(crate) const PRUNE_TOLERANCE: f64 = 1e-9;
 
 /// Performs one incremental backup of `bounds` at `belief` and inserts
 /// the resulting hyperplane into the set (paper Eq. 7).

@@ -63,6 +63,22 @@ pub trait ValueBound {
         let _ = support;
         self.value_weights(weights)
     }
+
+    /// The bound's envelope, for planners that skip actions which
+    /// cannot win. Fills `upper` and `magnitude` (one entry per state)
+    /// and returns a floor `m` such that, for every normalised belief
+    /// `b`, `m ≤ value_weights(b) ≤ Σ_s upper[s]·b[s]`, and the value
+    /// is a sum of terms with `|term_s| ≤ b[s]·magnitude[s]` (the scale
+    /// of its rounding error).
+    ///
+    /// The default returns `None`: no envelope is known, and the tree
+    /// kernel expands every action. [`VectorSetBound`] returns
+    /// `upper[s] = max_v V_v(s)`, `magnitude[s] = max_v |V_v(s)|` and
+    /// `m = max_v min_s V_v(s)`.
+    fn envelope_into(&self, upper: &mut [f64], magnitude: &mut [f64]) -> Option<f64> {
+        let _ = (upper, magnitude);
+        None
+    }
 }
 
 /// A constant bound, independent of the belief.
@@ -93,6 +109,10 @@ impl<B: ValueBound + ?Sized> ValueBound for &B {
 
     fn value_support(&self, weights: &[f64], support: &[usize]) -> f64 {
         (**self).value_support(weights, support)
+    }
+
+    fn envelope_into(&self, upper: &mut [f64], magnitude: &mut [f64]) -> Option<f64> {
+        (**self).envelope_into(upper, magnitude)
     }
 }
 

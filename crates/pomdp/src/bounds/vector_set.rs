@@ -425,6 +425,37 @@ impl ValueBound for VectorSetBound {
             .max_by(|a, b| a.partial_cmp(b).expect("finite bound values"))
             .unwrap_or(f64::NEG_INFINITY)
     }
+
+    /// `upper[s] = max_v V_v(s)`, `magnitude[s] = max_v |V_v(s)|` and
+    /// the floor `max_v min_s V_v(s)`; `None` for an empty set. A
+    /// belief `b ≥ 0` gives `V_v·b ≤ upper·b` for every plane, and a
+    /// normalised one gives `V_v·b ≥ min_s V_v(s)`, so the value lies
+    /// between the floor and `upper·b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either buffer's length differs from the set's
+    /// dimension.
+    fn envelope_into(&self, upper: &mut [f64], magnitude: &mut [f64]) -> Option<f64> {
+        assert_eq!(upper.len(), self.n_states, "envelope length mismatch");
+        assert_eq!(magnitude.len(), self.n_states, "envelope length mismatch");
+        if self.vectors.is_empty() {
+            return None;
+        }
+        upper.fill(f64::NEG_INFINITY);
+        magnitude.fill(0.0);
+        let mut floor = f64::NEG_INFINITY;
+        for b in &self.vectors {
+            let mut low = f64::INFINITY;
+            for ((u, m), &x) in upper.iter_mut().zip(magnitude.iter_mut()).zip(b) {
+                *u = u.max(x);
+                *m = m.max(x.abs());
+                low = low.min(x);
+            }
+            floor = floor.max(low);
+        }
+        Some(floor)
+    }
 }
 
 #[cfg(test)]
@@ -674,6 +705,25 @@ mod tests {
             VectorSetBound::new(2).value_weights(&[0.5, 0.5]),
             f64::NEG_INFINITY
         );
+    }
+
+    #[test]
+    fn envelope_brackets_every_plane() {
+        let mut set = VectorSetBound::new(3);
+        let (mut upper, mut magnitude) = ([7.0; 3], [7.0; 3]);
+        assert_eq!(set.envelope_into(&mut upper, &mut magnitude), None);
+        set.add_vector(vec![-1.0, -4.0, 2.0]).unwrap();
+        set.add_vector(vec![-3.0, 1.0, -5.0]).unwrap();
+        // Through a reference, as the planner reads it.
+        let bound: &dyn ValueBound = &set;
+        assert_eq!(bound.envelope_into(&mut upper, &mut magnitude), Some(-4.0));
+        assert_eq!(upper, [-1.0, 1.0, 2.0]);
+        assert_eq!(magnitude, [3.0, 4.0, 5.0]);
+        for probs in [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]] {
+            let value = set.value_weights(&probs);
+            let cap: f64 = probs.iter().zip(&upper).map(|(b, u)| b * u).sum();
+            assert!(-4.0 <= value && value <= cap, "{probs:?}: {value} vs {cap}");
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! of belief buffers, the per-depth action orders of branch-and-bound
 //! nodes (one `(upper estimate, action)` pair per action; branch
 //! posteriors live only in arena buffers), the per-depth afterstate
-//! tables of the nodes whose action loops are running, the
-//! within-decision transposition cache, and the [`Decision`] scratch
+//! tables of the nodes whose action loops are running, the scratch of
+//! frontier nodes' two-pass action loops (the leaf bound's envelope and
+//! the running node's afterstate groups), the within-decision
+//! transposition cache, and the [`Decision`] scratch
 //! the result is assembled in. Controllers hold one workspace across
 //! decisions, so after the first decision warms the buffers up, a
 //! decision performs **zero heap allocations** (the bench suite's
@@ -68,8 +70,16 @@
 //! and the node count. [`PlanStats::afterstate_hits`] counts those
 //! replays. The tables keep their capacity across decisions, so they
 //! allocate only while the first decisions warm them up.
+//!
+//! Frontier nodes (one remaining layer) whose leaf bound has an
+//! envelope open no table: they group their actions by afterstate in
+//! their own scratch before expanding any ([`crate::tree`], "What one
+//! Max-Avg node costs"), and count each group's `members − 1` sharers
+//! as afterstate hits, skipped groups included, so the counters read
+//! what the table would have counted. [`PlanStats::frontier_skipped`]
+//! counts the actions they did not expand.
 
-use crate::tree::Decision;
+use crate::tree::{Decision, Frontier};
 use bpr_mdp::ActionId;
 
 /// Cumulative counters of one workspace's planning activity.
@@ -99,6 +109,11 @@ pub struct PlanStats {
     /// Afterstate hits bucketed by the node's remaining depth (index =
     /// depth), grown like [`PlanStats::cache_hits_by_depth`].
     pub afterstate_hits_by_depth: Vec<u64>,
+    /// Actions of frontier nodes (one remaining layer) that were not
+    /// expanded because the leaf bound's envelope showed they cannot
+    /// win (see [`crate::tree`], "What one Max-Avg node costs"). Their
+    /// leaves still count in `nodes_expanded`.
+    pub frontier_skipped: u64,
     /// Belief buffers allocated because the arena was empty. Steady
     /// state is a constant value: every decision after the first warm
     /// one reuses arena buffers.
@@ -106,11 +121,11 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    fn bump_depth(buckets: &mut Vec<u64>, depth: usize) {
+    fn bump_depth(buckets: &mut Vec<u64>, depth: usize, by: u64) {
         if buckets.len() <= depth {
             buckets.resize(depth + 1, 0);
         }
-        buckets[depth] += 1;
+        buckets[depth] += by;
     }
 }
 
@@ -143,6 +158,7 @@ pub struct PlanWorkspace {
     arena: Vec<Vec<f64>>,
     orders: Vec<Vec<(f64, usize)>>,
     afterstates: Vec<AfterstateTable>,
+    frontier: Frontier,
     cache: BeliefCache,
     decision: Decision,
     stats: PlanStats,
@@ -182,6 +198,7 @@ impl PlanWorkspace {
             .afterstate_hits_by_depth
             .iter_mut()
             .for_each(|v| *v = 0);
+        self.stats.frontier_skipped = 0;
         self.stats.buffers_allocated = 0;
     }
 
@@ -310,18 +327,35 @@ impl PlanWorkspace {
         }
         let nodes = e.nodes;
         self.stats.afterstate_hits += 1;
-        PlanStats::bump_depth(&mut self.stats.afterstate_hits_by_depth, depth);
+        PlanStats::bump_depth(&mut self.stats.afterstate_hits_by_depth, depth, 1);
         (q, nodes)
+    }
+
+    /// The scratch of frontier nodes' two-pass action loops. Frontier
+    /// nodes do not nest, so one scratch serves a whole decision.
+    pub(crate) fn frontier(&mut self) -> &mut Frontier {
+        &mut self.frontier
+    }
+
+    /// Counts one frontier node's afterstate sharers (`shared`, each an
+    /// afterstate hit at remaining depth 1) and its actions that were
+    /// not expanded.
+    pub(crate) fn count_frontier(&mut self, shared: u64, skipped: u64) {
+        if shared > 0 {
+            self.stats.afterstate_hits += shared;
+            PlanStats::bump_depth(&mut self.stats.afterstate_hits_by_depth, 1, shared);
+        }
+        self.stats.frontier_skipped += skipped;
     }
 
     pub(crate) fn cache_get(&mut self, depth: usize, key: impl BeliefKey) -> Option<(f64, usize)> {
         let hit = self.cache.get(depth, key);
         if hit.is_some() {
             self.stats.cache_hits += 1;
-            PlanStats::bump_depth(&mut self.stats.cache_hits_by_depth, depth);
+            PlanStats::bump_depth(&mut self.stats.cache_hits_by_depth, depth, 1);
         } else {
             self.stats.cache_misses += 1;
-            PlanStats::bump_depth(&mut self.stats.cache_misses_by_depth, depth);
+            PlanStats::bump_depth(&mut self.stats.cache_misses_by_depth, depth, 1);
         }
         hit
     }

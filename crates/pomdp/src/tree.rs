@@ -37,7 +37,7 @@
 //!
 //! # What one Max-Avg node costs
 //!
-//! Four rules keep a `(node, action)` pair cheap on both layouts, and
+//! Five rules keep a `(node, action)` pair cheap on both layouts, and
 //! each changes no bit of any decision or node count:
 //!
 //! - **Actions with the same afterstate share one expansion.** Within
@@ -91,7 +91,39 @@
 //!   accumulator summed in ascending state order from `-0.0` like
 //!   `f64`'s `Sum`, so every value equals its serial dot product and
 //!   the last maximal plane still wins.
+//! - **Frontier nodes expand only the afterstates that can win.** A
+//!   frontier node has one remaining layer, so every child is a leaf.
+//!   On cached, unpruned passes whose leaf bound has an envelope
+//!   ([`ValueBound::envelope_into`]; for a hyperplane set
+//!   `U(s) = max_v V_v(s)` and the floor `m = max_v min_s V_v(s)`,
+//!   filled once per decision of depth ≥ 2), its action loop runs in
+//!   two passes. The first groups the actions by observation class and
+//!   bit-identical `pred`, computes each group's `pred` and `γ` once,
+//!   keeps `pred` and the surviving branches' `(o, γ)` (a few of `|O|`),
+//!   and bounds every action by `ub = dot(π, r_a) + β·(Σ_s U(s)·ρ(s)·
+//!   pred(s) − m·D)`, with `ρ` the class's observation row masses and
+//!   `D` the mass of the branches with `0 < γ ≤ cutoff`. The bound is
+//!   sound: a surviving branch `b_o` has `L(b_o) ≤ U·b_o`, so the kept
+//!   terms sum to at most `Σ_s U(s)·ρ(s)·pred(s)` minus the dropped
+//!   branches' `γ_o·U·b_o`, and each of those is at least `γ_o·m`
+//!   because `L(b_o) ≥ m`. The second pass visits the groups in
+//!   descending `ub + tol` (`tol` the backup's relative `1e-9` margin,
+//!   [`crate::backup::incremental_backup`]), ties to the lower
+//!   representative, and skips a group whose bound lies strictly below
+//!   the best q found so far. A skipped group still adds the leaves the
+//!   literal loop would have valued (`kept × members`), so node counts,
+//!   and the subtree counts the transposition cache replays, do not
+//!   move. A surviving group scales, normalises and values its branches
+//!   once from the stored `pred` and `(o, γ)`, and each member's q is its
+//!   reward plus the same terms in ascending `o`: the literal loop's
+//!   sum. Every skipped q lies strictly below an expanded one, and the
+//!   survivors' q are folded with `max` in ascending action index, so
+//!   the node's value has the literal loop's bits; a strictly smaller
+//!   operand never decides a `max`, `±0` ties included. Budgeted
+//!   passes, branch-and-bound and the root, which reports every q, stay
+//!   literal, as do bounds without an envelope and `β < 0` or NaN.
 
+use crate::backup::PRUNE_TOLERANCE;
 use crate::bounds::ValueBound;
 use crate::plan::{
     afterstate_fingerprint, AfterstateKey, BeliefKey, CacheEpoch, PlanWorkspace, Prehashed,
@@ -100,6 +132,7 @@ use crate::plan::{
 use crate::{Belief, Error, Pomdp};
 use bpr_linalg::{dense, CsrMatrix};
 use bpr_mdp::ActionId;
+use std::ops::Range;
 
 /// The decision produced by a tree expansion.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,6 +296,11 @@ fn expand_root<L: Layout>(
         ws.decision_clear();
         if kernel.plain.shares_afterstates() {
             ws.afterstate_open(depth);
+            if depth >= 2 {
+                let p = &kernel.plain;
+                ws.frontier()
+                    .fill_envelope(p.leaf, p.beta, p.pomdp.n_states());
+            }
         }
         for a in 0..n_actions {
             let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
@@ -428,6 +466,12 @@ impl<'a> Plain<'a> {
     /// branch-and-bound stays literal as well.
     fn shares_afterstates(&self) -> bool {
         self.use_cache && self.upper.is_none()
+    }
+
+    /// Whether an observation branch of mass `gamma` is expanded, as
+    /// in [`Belief::successors`]: `γ > cutoff ∧ γ > 0`.
+    fn survives(&self, gamma: f64) -> bool {
+        gamma > self.cutoff && gamma > 0.0
     }
 
     /// The kernel on `layout`.
@@ -702,7 +746,7 @@ impl<L: Layout> Kernel<'_, L> {
         let mut post = ws.checkout(n);
         let mut aborted = false;
         for (o, &gamma) in gammas.iter().enumerate() {
-            if !(gamma > p.cutoff && gamma > 0.0) {
+            if !p.survives(gamma) {
                 continue;
             }
             let (scaled, support) = self.layout.scale(obs_t, o, &pred, &mut post);
@@ -804,6 +848,168 @@ impl<L: Layout> Kernel<'_, L> {
         Some(best)
     }
 
+    /// `max_a Q(belief, a)` at a frontier node (one remaining layer,
+    /// every child a leaf) of a cached, unpruned pass whose leaf bound
+    /// has the envelope floor `floor`: the value and node count of the
+    /// literal action loop, from two passes (module docs, "What one
+    /// Max-Avg node costs").
+    ///
+    /// Pass 1 groups the actions by observation class and bit-identical
+    /// afterstate `pred`, computes each group's `pred` and `γ` once,
+    /// keeps `pred` and the surviving `(o, γ)`, and bounds every action by `ub = r + β·(Σ_s U(s)·ρ(s)·pred(s) −
+    /// m·D)`, where `D` is the mass of the branches the cutoff drops.
+    /// Pass 2 visits the groups in descending bound, ties to the lower
+    /// representative, and expands a group only if its largest `ub +
+    /// tol` is not below the best q found so far; the expanded members'
+    /// q are folded with `max` in ascending action index. Out of line
+    /// like [`Kernel::pruned_max`].
+    #[inline(never)]
+    fn frontier_max(
+        &self,
+        ws: &mut PlanWorkspace,
+        belief: &[f64],
+        floor: f64,
+        nodes: &mut usize,
+    ) -> f64 {
+        let p = &self.plain;
+        let pomdp = p.pomdp;
+        let (n, n_obs) = (pomdp.n_states(), pomdp.n_observations());
+        let f = ws.frontier();
+        f.open(n, n_obs);
+        for a in 0..pomdp.n_actions() {
+            let action = ActionId::new(a);
+            let rewards = pomdp.mdp().reward_vector(action);
+            let reward = dense::dot(belief, rewards);
+            let reward_scale: f64 = belief.iter().zip(rewards).map(|(b, r)| b * r.abs()).sum();
+            let start = f.preds.len();
+            f.preds.resize(start + n, 0.0);
+            pomdp
+                .mdp()
+                .transition_matrix(action)
+                .matvec_transpose_into_unchecked(belief, &mut f.preds[start..]);
+            let pred = &f.preds[start..];
+            let class = pomdp.observation_class(action);
+            let fingerprint = afterstate_fingerprint(pred);
+            let earlier = f.groups.iter().enumerate().position(|(g, group)| {
+                group.class == class
+                    && group.fingerprint == fingerprint
+                    && f.preds[g * n..(g + 1) * n]
+                        .iter()
+                        .zip(pred)
+                        .all(|(x, y)| x.to_bits() == y.to_bits())
+            });
+            let g = if let Some(g) = earlier {
+                f.preds.truncate(start);
+                g
+            } else {
+                pomdp
+                    .observation_matrix(action)
+                    .matvec_transpose_into_unchecked(pred, &mut f.gammas);
+                let first = f.branches.len();
+                let mut dropped = 0.0;
+                for (o, &gamma) in f.gammas.iter().enumerate() {
+                    if p.survives(gamma) {
+                        f.branches.push((o, gamma));
+                    } else if gamma > 0.0 {
+                        dropped += gamma;
+                    }
+                }
+                let mass = &pomdp.observation_row_masses()[class].positive;
+                let (mut next, mut next_scale) = (0.0, 0.0);
+                for (((&x, &rho), &u), &m) in pred.iter().zip(mass).zip(&f.upper).zip(&f.magnitude)
+                {
+                    next += x * (rho * u);
+                    next_scale += x * (rho * m);
+                }
+                f.groups.push(Group {
+                    action: a,
+                    class,
+                    fingerprint,
+                    members: 0,
+                    branches: first..f.branches.len(),
+                    envelope: p.beta * (next - floor * dropped),
+                    scale: p.beta * (next_scale + floor.abs() * dropped),
+                    bound: f64::NEG_INFINITY,
+                });
+                f.groups.len() - 1
+            };
+            let group = &mut f.groups[g];
+            group.members += 1;
+            let bound = reward + group.envelope + PRUNE_TOLERANCE * (reward_scale + group.scale);
+            group.bound = group.bound.max(bound);
+            f.actions.push(FrontierAction {
+                group: g,
+                reward,
+                bound,
+                q: f64::NEG_INFINITY,
+            });
+        }
+        f.order.clear();
+        f.order.extend(
+            f.groups
+                .iter()
+                .enumerate()
+                .map(|(g, group)| (group.bound, g)),
+        );
+        f.order
+            .sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+        let (mut incumbent, mut shared, mut skipped) = (f64::NEG_INFINITY, 0, 0);
+        for i in 0..f.order.len() {
+            let (bound, g) = f.order[i];
+            let group = &f.groups[g];
+            // A skipped member would have valued one leaf per surviving
+            // branch, exactly as an expanded one does.
+            *nodes += group.branches.len() * group.members;
+            shared += group.members - 1;
+            if bound < incumbent {
+                skipped += group.members;
+                continue;
+            }
+            // `branch_sum`'s branch loop on the stored `pred` and
+            // `(o, γ)`, kept apart so the literal loop, the budgeted
+            // passes' hot path, compiles as it did.
+            let pred = &f.preds[g * n..(g + 1) * n];
+            let obs_t = pomdp.observation_transpose(ActionId::new(group.action));
+            f.terms.clear();
+            for &(o, gamma) in &f.branches[group.branches.clone()] {
+                let (scaled, support) = self.layout.scale(obs_t, o, pred, &mut f.post);
+                debug_assert_eq!(
+                    scaled.to_bits(),
+                    gamma.to_bits(),
+                    "state-major branch mass differs from the row scale's"
+                );
+                if gamma.is_finite() {
+                    self.layout.normalize(&mut f.post, support, gamma);
+                }
+                let v = self.layout.leaf(p.leaf, &f.post, support);
+                f.terms.push(p.beta * gamma * v);
+                self.layout.clear(&mut f.post, support);
+            }
+            for action in f.actions.iter_mut().filter(|x| x.group == g) {
+                let mut q = action.reward;
+                for &term in &f.terms {
+                    q += term;
+                }
+                debug_assert!(
+                    q <= action.bound,
+                    "frontier q {q} above its bound {}",
+                    action.bound
+                );
+                action.q = q;
+                incumbent = incumbent.max(q);
+            }
+        }
+        // Every skipped q lies strictly below an expanded one, so the
+        // literal loop's fold reaches the same bits without them; a
+        // skipped action's -∞ never wins a max.
+        let mut best = f64::NEG_INFINITY;
+        for action in &f.actions {
+            best = best.max(action.q);
+        }
+        ws.count_frontier(shared as u64, skipped as u64);
+        best
+    }
+
     /// `max_a Q(belief, a)` at `depth` remaining layers, or the leaf
     /// bound at depth 0. `belief` is a normalised branch on `support`.
     /// With an upper bound the max is [`Kernel::pruned_max`].
@@ -838,8 +1044,15 @@ impl<L: Layout> Kernel<'_, L> {
             }
         }
         let before = *nodes;
+        let frontier_floor = if depth == 1 && p.shares_afterstates() {
+            ws.frontier().floor
+        } else {
+            None
+        };
         let value = if let Some(upper) = p.upper {
             self.pruned_max(ws, belief, depth, upper, nodes)?
+        } else if let Some(floor) = frontier_floor {
+            self.frontier_max(ws, belief, floor, nodes)
         } else {
             if p.shares_afterstates() {
                 ws.afterstate_open(depth);
@@ -856,6 +1069,97 @@ impl<L: Layout> Kernel<'_, L> {
         }
         Some(value)
     }
+}
+
+/// Scratch of a frontier node's two-pass action loop
+/// ([`Kernel::frontier_max`]): the leaf bound's envelope, filled once
+/// per decision, and the running node's afterstate groups. Held in the
+/// [`PlanWorkspace`]; frontier nodes do not nest, and every buffer keeps
+/// its capacity across nodes and decisions.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Frontier {
+    /// `U(s)` of [`ValueBound::envelope_into`].
+    upper: Vec<f64>,
+    /// `M(s)`, the scale of the rounding margin.
+    magnitude: Vec<f64>,
+    /// The envelope floor `m`; `None` (no envelope, or `β` not `≥ 0`)
+    /// runs frontier nodes on the literal loop.
+    floor: Option<f64>,
+    /// Group `g`'s afterstate, at `preds[g·|S|..(g + 1)·|S|]`.
+    preds: Vec<f64>,
+    /// The branch masses `Q_aᵀ · pred` of the group being formed.
+    gammas: Vec<f64>,
+    /// `(o, γ)` of every group's surviving branches, ascending `o`
+    /// within a group.
+    branches: Vec<(usize, f64)>,
+    groups: Vec<Group>,
+    /// One entry per action, in index order.
+    actions: Vec<FrontierAction>,
+    /// `(bound, group)` in visiting order.
+    order: Vec<(f64, usize)>,
+    /// The branch terms `β·γ(o)·v(o)` of the group being expanded, in
+    /// ascending `o`.
+    terms: Vec<f64>,
+    /// The branch buffer: `+0.0` everywhere between branches.
+    post: Vec<f64>,
+}
+
+impl Frontier {
+    /// Fills the envelope of `leaf` for a decision on an `n`-state
+    /// model; with `β` below 0 or NaN no action is bounded.
+    fn fill_envelope(&mut self, leaf: &dyn ValueBound, beta: f64, n: usize) {
+        self.upper.resize(n, 0.0);
+        self.magnitude.resize(n, 0.0);
+        self.floor = if beta >= 0.0 {
+            leaf.envelope_into(&mut self.upper, &mut self.magnitude)
+        } else {
+            None
+        };
+    }
+
+    /// Empties the groups for a node of a model with `n` states and
+    /// `n_obs` observations.
+    fn open(&mut self, n: usize, n_obs: usize) {
+        self.preds.clear();
+        self.gammas.resize(n_obs, 0.0);
+        self.branches.clear();
+        self.groups.clear();
+        self.actions.clear();
+        self.post.clear();
+        self.post.resize(n, 0.0);
+    }
+}
+
+/// The actions of a frontier node with one observation class and one
+/// afterstate: one `pred`, one `γ`, one set of branch values.
+#[derive(Debug, Clone)]
+struct Group {
+    /// The representative, the group's lowest action.
+    action: usize,
+    class: usize,
+    fingerprint: u64,
+    members: usize,
+    /// Its surviving branches (`γ > cutoff ∧ γ > 0`), as
+    /// `Frontier::branches[branches]`.
+    branches: Range<usize>,
+    /// `β·(Σ_s U(s)·ρ(s)·pred(s) − m·D)`, `D` the dropped mass.
+    envelope: f64,
+    /// `β·(Σ_s M(s)·ρ(s)·pred(s) + |m|·D)`.
+    scale: f64,
+    /// The largest `ub + tol` of its members.
+    bound: f64,
+}
+
+/// One action of a frontier node.
+#[derive(Debug, Clone, Copy)]
+struct FrontierAction {
+    group: usize,
+    /// `dot(π, r_a)`, the first addend of its q.
+    reward: f64,
+    /// `ub + tol`: no q of the action exceeds it.
+    bound: f64,
+    /// Its q once its group is expanded; `-∞` while it is skipped.
+    q: f64,
 }
 
 /// The pre-fusion tree expansion, retained verbatim.
@@ -1661,6 +1965,92 @@ mod tests {
                 "{stats:?}"
             );
         }
+    }
+
+    /// A hyperplane set without its envelope: frontier nodes run the
+    /// literal loop on it.
+    struct NoEnvelope<'a>(&'a VectorSetBound);
+
+    impl ValueBound for NoEnvelope<'_> {
+        fn value(&self, belief: &Belief) -> f64 {
+            self.0.value(belief)
+        }
+
+        fn value_weights(&self, weights: &[f64]) -> f64 {
+            self.0.value_weights(weights)
+        }
+
+        fn value_support(&self, weights: &[f64], support: &[usize]) -> f64 {
+            self.0.value_support(weights, support)
+        }
+    }
+
+    #[test]
+    fn frontier_skips_keep_the_literal_loops_decisions_and_counters() {
+        let mut skipped = 0;
+        for p in [
+            two_server_notified(),
+            one_afterstate_two_classes_model(),
+            sparse_rows_model(),
+        ] {
+            let n = p.n_states();
+            let mut bound =
+                VectorSetBound::from_vector((0..n).map(|s| -4.0 - (s % 5) as f64).collect())
+                    .unwrap();
+            bound
+                .add_vector((0..n).map(|s| -9.0 + (s % 3) as f64 * 3.0).collect())
+                .unwrap();
+            for b in [Belief::uniform(n), Belief::point(n, 1.into())] {
+                for (depth, cutoff, beta) in [(2, 0.0, 1.0), (2, 0.05, 0.9), (3, 0.0, 1.0)] {
+                    let mut frontier = PlanWorkspace::new();
+                    let mut literal = PlanWorkspace::new();
+                    expand_with_workspace(&p, &b, depth, &bound, beta, cutoff, &mut frontier)
+                        .unwrap();
+                    expand_with_workspace(
+                        &p,
+                        &b,
+                        depth,
+                        &NoEnvelope(&bound),
+                        beta,
+                        cutoff,
+                        &mut literal,
+                    )
+                    .unwrap();
+                    let case = format!("n={n} depth={depth} cutoff={cutoff}");
+                    assert_eq!(
+                        decision_bits(frontier.decision()),
+                        decision_bits(literal.decision()),
+                        "{case}"
+                    );
+                    // Cache and afterstate counters read as on the
+                    // literal loop, which skips nothing. (Frontier
+                    // nodes keep their own scratch, not arena buffers.)
+                    let mut stats = frontier.stats().clone();
+                    let mut want = literal.stats().clone();
+                    assert_eq!(want.frontier_skipped, 0);
+                    skipped += stats.frontier_skipped;
+                    stats.frontier_skipped = 0;
+                    stats.buffers_allocated = 0;
+                    want.buffers_allocated = 0;
+                    assert_eq!(stats, want, "{case}");
+                }
+            }
+        }
+        assert!(skipped > 0, "no frontier action was skipped");
+    }
+
+    #[test]
+    fn a_negative_discount_bounds_no_frontier_action() {
+        let p = two_server_notified();
+        let bound = VectorSetBound::from_vector(vec![-3.0, -1.0, -2.0]).unwrap();
+        let b = Belief::uniform(3);
+        let mut ws = PlanWorkspace::new();
+        expand_with_workspace(&p, &b, 2, &bound, -0.5, 0.0, &mut ws).unwrap();
+        let old = legacy::expand_with_cutoff(&p, &b, 2, &bound, -0.5, 0.0).unwrap();
+        assert_eq!(decision_bits(ws.decision()), decision_bits(&old));
+        assert_eq!(ws.stats().frontier_skipped, 0);
+        expand_with_workspace(&p, &b, 2, &bound, 1.0, 0.0, &mut ws).unwrap();
+        assert!(ws.stats().frontier_skipped > 0, "{:?}", ws.stats());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! The fused tree expansion (`bpr_pomdp::tree`) replaces the legacy
 //! per-node successor rebuild with precomputed `τ_{a,o}` operators,
-//! workspace scratch, a transposition cache, and afterstate sharing
-//! between actions of one node. Its contract is *bit-identity*: the same `γ` values,
+//! workspace scratch, a transposition cache, afterstate sharing
+//! between actions of one node, and frontier nodes that skip the
+//! actions the leaf bound's envelope shows cannot win. Its contract is
+//! *bit-identity*: the same `γ` values,
 //! posteriors, branch order, q-values, tie-breaking, and node counts as
 //! the retained legacy path — for every model, belief, and cutoff, not
 //! just the case-study models. These properties drive randomly
@@ -471,6 +473,144 @@ fn copied_rows_share_afterstates_at_the_root_and_inside_the_tree() {
     }
 }
 
+/// A leaf set for the frontier properties, by `shape`: one random
+/// negative plane; [`random_lower_with_zero_plane`] (negative planes and
+/// a `±0` one); or three planes with entries of both signs, mostly
+/// positive. The frontier skip argument holds for any set, so none of
+/// them needs to be a sound bound.
+fn frontier_leaf(pomdp: &Pomdp, seed: u64, shape: usize) -> VectorSetBound {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xf407);
+    let n = pomdp.n_states();
+    let mut plane = |low: f64, high: f64| -> Vec<f64> {
+        (0..n)
+            .map(|_| low + rng.gen::<f64>() * (high - low))
+            .collect()
+    };
+    match shape {
+        0 => VectorSetBound::from_vector(plane(-40.0, -5.0)).expect("non-empty vector"),
+        1 => random_lower_with_zero_plane(pomdp, seed),
+        _ => {
+            let mut bound = VectorSetBound::new(n);
+            for _ in 0..3 {
+                bound
+                    .add_vector(plane(-10.0, 30.0))
+                    .expect("same dimension");
+            }
+            bound
+        }
+    }
+}
+
+/// The smallest branch mass of a node one layer above the leaves of a
+/// depth-2 tree from `belief`: the likeliest root branch's posterior,
+/// under its first action. A cutoff equal to it drops that branch
+/// (`γ > cutoff` fails) at that frontier node.
+fn frontier_branch_mass(pomdp: &Pomdp, belief: &Belief) -> f64 {
+    let mut root = belief.successors(pomdp, ActionId::new(0), 0.0);
+    root.sort_by(|x, y| y.1.total_cmp(&x.1));
+    root[0]
+        .2
+        .successors(pomdp, ActionId::new(0), 0.0)
+        .iter()
+        .map(|&(_, g, _)| g)
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The frontier pass (`expand_with_workspace`, whose nodes one layer
+/// above the leaves expand only the actions that can win) against
+/// `legacy::expand_with_cutoff` and against an exact-budget
+/// `expand_budgeted` pass, bit for bit with node counts, at every
+/// [`copying_beliefs`] belief and each of three cutoffs (`0`, `1e-3`
+/// and a frontier branch mass); returns how many frontier actions the
+/// workspace skipped.
+fn assert_frontier_matches_legacy(
+    spec: &RandomPomdp,
+    sparse: bool,
+    depth: usize,
+    shape: usize,
+) -> u64 {
+    let (pomdp, copies) = build_copying(spec, sparse);
+    let leaf = frontier_leaf(&pomdp, spec.seed, shape);
+    let mut ws = PlanWorkspace::new();
+    let mut budgeted = PlanWorkspace::new();
+    for belief in copying_beliefs(&pomdp, &copies, spec.seed) {
+        for cutoff in [0.0, 1e-3, frontier_branch_mass(&pomdp, &belief)] {
+            let case = format!(
+                "{spec:?} sparse={sparse} depth={depth} shape={shape} cutoff={cutoff:e} \
+                 belief={:?}",
+                belief.probs()
+            );
+            let old = tree::legacy::expand_with_cutoff(&pomdp, &belief, depth, &leaf, 1.0, cutoff)
+                .expect("legacy expands");
+            let want = decision_bits(&old);
+            tree::expand_with_workspace(&pomdp, &belief, depth, &leaf, 1.0, cutoff, &mut ws)
+                .expect("frontier pass expands");
+            assert_eq!(decision_bits(ws.decision()), want, "frontier pass: {case}");
+            let nodes = old.nodes_expanded;
+            let pass = tree::expand_budgeted(
+                &pomdp,
+                &belief,
+                depth,
+                &leaf,
+                1.0,
+                cutoff,
+                nodes,
+                &mut budgeted,
+            )
+            .expect("budgeted pass expands");
+            assert!(pass.completed && pass.nodes_spent == nodes, "{case}");
+            assert_eq!(
+                decision_bits(budgeted.decision()),
+                want,
+                "exact-budget pass: {case}"
+            );
+        }
+    }
+    assert_eq!(
+        budgeted.stats().frontier_skipped,
+        0,
+        "budgeted passes stay literal"
+    );
+    ws.stats().frontier_skipped
+}
+
+#[test]
+fn frontier_nodes_skip_actions_on_both_layouts_and_every_leaf_shape() {
+    // The frontier properties below would pass vacuously if no action
+    // were ever skipped: over a fixed set of seeds, every layout, depth
+    // and leaf shape skips some.
+    for sparse in [false, true] {
+        for depth in [2, 3] {
+            for shape in 0..3 {
+                let skipped: u64 = (0..6u64)
+                    .map(|seed| {
+                        let spec = if sparse {
+                            RandomPomdp {
+                                n_states: 32 + seed as usize % 5,
+                                n_actions: 3,
+                                n_obs: 16,
+                                seed,
+                            }
+                        } else {
+                            RandomPomdp {
+                                n_states: 3 + seed as usize % 3,
+                                n_actions: 4,
+                                n_obs: 4,
+                                seed,
+                            }
+                        };
+                        assert_frontier_matches_legacy(&spec, sparse, depth, shape)
+                    })
+                    .sum();
+                assert!(
+                    skipped > 0,
+                    "sparse={sparse} depth={depth} shape={shape}: nothing skipped"
+                );
+            }
+        }
+    }
+}
+
 /// The QMDP upper bound at discount 0.95. Every reward of the random
 /// models is non-positive, so discounting only raises values and the
 /// bound stays above the undiscounted value; unlike the undiscounted
@@ -529,6 +669,24 @@ proptest! {
         cutoff in prop_oneof![Just(0.0), Just(1e-3)],
     ) {
         assert_copying_model_matches_legacy(&spec, true, depth, cutoff);
+    }
+
+    #[test]
+    fn frontier_pass_matches_legacy_on_the_dense_layout(
+        spec in arb_copying_pomdp(),
+        depth in 2usize..=3,
+        shape in 0usize..3,
+    ) {
+        assert_frontier_matches_legacy(&spec, false, depth, shape);
+    }
+
+    #[test]
+    fn frontier_pass_matches_legacy_on_the_sparse_layout(
+        spec in arb_sparse_copying_pomdp(),
+        depth in 2usize..=3,
+        shape in 0usize..3,
+    ) {
+        assert_frontier_matches_legacy(&spec, true, depth, shape);
     }
 
     #[test]
