@@ -24,6 +24,12 @@
 //! 4. the branch-and-bound decision on the quotient is bit-identical to
 //!    the legacy branch-and-bound on the quotient.
 //!
+//! Gates 1 and 4 run at the uniform belief and again at the null point
+//! belief, where many actions leave the belief where `observe` does,
+//! so the root shares afterstates; the run fails
+//! if the root does not share there. Timings and the JSON's `cache`
+//! block are measured at the uniform belief only.
+//!
 //! Results land in `BENCH_planning_<scenario>.json`; its `cache` block
 //! counts the cold decisions' transposition-cache hits and misses and
 //! their afterstate hits (actions that replayed an earlier action's
@@ -164,6 +170,18 @@ fn check_value_identity(legacy: &Decision, fused: &Decision, identity: bool) {
     }
 }
 
+/// The branch-and-bound identity gate: the fused decision on the
+/// quotient equals the legacy branch-and-bound on the quotient.
+fn check_bb_identity(legacy: &Decision, fused: &Decision) {
+    if fused != legacy {
+        eprintln!(
+            "DIVERGENCE: branch-and-bound decision differs from legacy branch-and-bound\n  \
+             legacy: {legacy:?}\n  fused:  {fused:?}"
+        );
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let decisions = flag(&args, "--decisions", 40usize).max(1);
@@ -278,6 +296,23 @@ fn main() {
         stats.cache_hits, stats.cache_misses, stats.afterstate_hits, stats.frontier_skipped
     );
 
+    // --- Gates 1 and 4 at the null point, where the root shares.
+    let shared = Belief::point(pomdp.n_states(), model.null_states()[0]);
+    let qshared = certificate.project(&shared);
+    let legacy_shared =
+        tree::legacy::expand_with_cutoff(pomdp, &shared, depth, &bound, 1.0, cutoff)
+            .expect("legacy expansion succeeds");
+    ws.reset_stats();
+    tree::expand_with_workspace(qpomdp, &qshared, depth, &qbound, 1.0, cutoff, &mut ws)
+        .expect("fused expansion succeeds");
+    check_value_identity(&legacy_shared, ws.decision(), identity);
+    let root_sharers = ws.stats().afterstate_hits_by_depth.get(depth).copied();
+    let Some(root_sharers @ 1..) = root_sharers else {
+        eprintln!("SHARING GATE: the root shares no afterstate at the null point");
+        std::process::exit(1);
+    };
+    println!("  null point: {root_sharers} root afterstate hits, identical to legacy");
+
     // --- Branch-and-bound on the quotient with a QMDP upper bound, cold
     // (cache cleared per decision), gated bit-identical to the legacy
     // branch-and-bound on the same model.
@@ -292,14 +327,16 @@ fn main() {
         )
         .expect("branch-and-bound succeeds");
     }
-    if ws.decision() != &bb_ref {
-        eprintln!(
-            "DIVERGENCE: branch-and-bound decision differs from legacy branch-and-bound\n  \
-             legacy: {bb_ref:?}\n  fused:  {:?}",
-            ws.decision()
-        );
-        std::process::exit(1);
-    }
+    check_bb_identity(&bb_ref, ws.decision());
+    let bb_shared = tree::legacy::expand_branch_and_bound(
+        qpomdp, &qshared, depth, &qbound, &upper, 1.0, cutoff,
+    )
+    .expect("legacy branch-and-bound succeeds");
+    tree::expand_branch_and_bound_with_workspace(
+        qpomdp, &qshared, depth, &qbound, &upper, 1.0, cutoff, &mut ws,
+    )
+    .expect("branch-and-bound succeeds");
+    check_bb_identity(&bb_shared, ws.decision());
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
     let mut bb_nodes = 0usize;
