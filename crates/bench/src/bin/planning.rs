@@ -1,33 +1,28 @@
 //! Planning-throughput benchmark for the lumped + fused tree-expansion
 //! kernel: measures decisions/sec and nodes/sec on any registry
 //! scenario (default: the paper's EMN model) for the retained legacy
-//! path, the fused workspace path on the lumped quotient (cold: every
-//! decision opens with an empty cache and runs the kernel) and
-//! branch-and-bound on the quotient with a QMDP upper bound (cold) —
-//! all in the same run, so the reported speedups compare like with
-//! like.
+//! path and the fused workspace path on the lumped quotient (cold:
+//! every decision opens with an empty cache and runs the kernel), both
+//! in the same run, so the reported speedup compares like with like.
 //!
-//! Four properties gate the run (exit nonzero on violation):
+//! Three properties gate the run (exit nonzero on violation):
 //!
 //! 1. the fused decision on the lumped quotient is **value-identical**
 //!    to the legacy decision on the full model — bit-identical when the
 //!    lumping is the identity, within 1e-9 otherwise (same action, same
 //!    node count, matching root and per-action values);
-//! 2. steady-state fused decisions, branch-and-bound included, perform
-//!    **zero heap allocations** (counted by a tallying global allocator
-//!    in this binary only);
+//! 2. steady-state fused decisions perform **zero heap allocations**
+//!    (counted by a tallying global allocator in this binary only);
 //! 3. the cold speedup over legacy is at least `--min-speedup`. The
 //!    legacy and cold paths are timed in interleaved passes (five, or
 //!    one per decision if there are fewer), and each side's rate is its
 //!    best pass, so host drift between the two sides cannot move the
-//!    ratio much;
-//! 4. the branch-and-bound decision on the quotient is bit-identical to
-//!    the legacy branch-and-bound on the quotient.
+//!    ratio much.
 //!
-//! Gates 1 and 4 run at the uniform belief and again at the null point
+//! Gate 1 runs at the uniform belief and again at the null point
 //! belief, where many actions leave the belief where `observe` does,
-//! so the root shares afterstates; the run fails
-//! if the root does not share there. Timings and the JSON's `cache`
+//! so the root shares afterstates; the run fails if the root does not
+//! share there. Timings and the JSON's `cache`
 //! block are measured at the uniform belief only.
 //!
 //! Results land in `BENCH_planning_<scenario>.json`; its `cache` block
@@ -50,8 +45,7 @@
 
 use bpr_bench::{flag, scenario_flag};
 use bpr_mdp::chain::SolveOpts;
-use bpr_mdp::value_iteration::Discount;
-use bpr_pomdp::bounds::{qmdp_bound, ra_bound};
+use bpr_pomdp::bounds::ra_bound;
 use bpr_pomdp::tree::Decision;
 use bpr_pomdp::{tree, Belief, PlanWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -164,18 +158,6 @@ fn check_value_identity(legacy: &Decision, fused: &Decision, identity: bool) {
     {
         eprintln!(
             "DIVERGENCE: lumped fused decision is not value-identical to legacy\n  \
-             legacy: {legacy:?}\n  fused:  {fused:?}"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The branch-and-bound identity gate: the fused decision on the
-/// quotient equals the legacy branch-and-bound on the quotient.
-fn check_bb_identity(legacy: &Decision, fused: &Decision) {
-    if fused != legacy {
-        eprintln!(
-            "DIVERGENCE: branch-and-bound decision differs from legacy branch-and-bound\n  \
              legacy: {legacy:?}\n  fused:  {fused:?}"
         );
         std::process::exit(1);
@@ -296,7 +278,7 @@ fn main() {
         stats.cache_hits, stats.cache_misses, stats.afterstate_hits, stats.frontier_skipped
     );
 
-    // --- Gates 1 and 4 at the null point, where the root shares.
+    // --- Gate 1 at the null point, where the root shares.
     let shared = Belief::point(pomdp.n_states(), model.null_states()[0]);
     let qshared = certificate.project(&shared);
     let legacy_shared =
@@ -313,53 +295,10 @@ fn main() {
     };
     println!("  null point: {root_sharers} root afterstate hits, identical to legacy");
 
-    // --- Branch-and-bound on the quotient with a QMDP upper bound, cold
-    // (cache cleared per decision), gated bit-identical to the legacy
-    // branch-and-bound on the same model.
-    let upper = qmdp_bound(qpomdp, Discount::Undiscounted).expect("quotient QMDP bound exists");
-    let bb_ref = tree::legacy::expand_branch_and_bound(
-        qpomdp, &qbelief, depth, &qbound, &upper, 1.0, cutoff,
-    )
-    .expect("legacy branch-and-bound succeeds");
-    for _ in 0..2 {
-        tree::expand_branch_and_bound_with_workspace(
-            qpomdp, &qbelief, depth, &qbound, &upper, 1.0, cutoff, &mut ws,
-        )
-        .expect("branch-and-bound succeeds");
-    }
-    check_bb_identity(&bb_ref, ws.decision());
-    let bb_shared = tree::legacy::expand_branch_and_bound(
-        qpomdp, &qshared, depth, &qbound, &upper, 1.0, cutoff,
-    )
-    .expect("legacy branch-and-bound succeeds");
-    tree::expand_branch_and_bound_with_workspace(
-        qpomdp, &qshared, depth, &qbound, &upper, 1.0, cutoff, &mut ws,
-    )
-    .expect("branch-and-bound succeeds");
-    check_bb_identity(&bb_shared, ws.decision());
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    let mut bb_nodes = 0usize;
-    for _ in 0..decisions {
-        tree::expand_branch_and_bound_with_workspace(
-            qpomdp, &qbelief, depth, &qbound, &upper, 1.0, cutoff, &mut ws,
-        )
-        .expect("branch-and-bound succeeds");
-        bb_nodes += ws.decision().nodes_expanded;
-    }
-    let bb_wall = start.elapsed().as_secs_f64();
-    let bb_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let bb = rates(decisions, bb_nodes, bb_wall);
-    println!(
-        "  branch-and-bound (cold): {:.1} decisions/sec, {:.0} nodes/sec, {} allocations over {} \
-         decisions (bit-identical to legacy branch-and-bound)",
-        bb.decisions_per_sec, bb.nodes_per_sec, bb_allocs, decisions
-    );
-
-    if cold_allocs != 0 || bb_allocs != 0 {
+    if cold_allocs != 0 {
         eprintln!(
-            "ALLOCATION GATE: {cold_allocs} cold + {bb_allocs} branch-and-bound heap allocations \
-             in {decisions} steady-state fused decisions each (expected 0)"
+            "ALLOCATION GATE: {cold_allocs} heap allocations in {decisions} steady-state \
+             fused decisions (expected 0)"
         );
         std::process::exit(1);
     }
@@ -386,16 +325,12 @@ fn main() {
     write_path(&mut json, "legacy", &legacy);
     json.push_str(",\n  ");
     write_path(&mut json, "fused_cold", &fused_cold);
-    json.push_str(",\n  ");
-    write_path(&mut json, "branch_and_bound_cold", &bb);
     let _ = write!(
         json,
-        ",\n  \"allocations_per_decision\": {:.3}, \
-         \"branch_and_bound_allocations_per_decision\": {:.3},\n  \
+        ",\n  \"allocations_per_decision\": {:.3},\n  \
          \"cache\": {{\"hits\": {}, \"misses\": {},\n    \
          \"hits_by_depth\": ",
         cold_allocs as f64 / decisions as f64,
-        bb_allocs as f64 / decisions as f64,
         stats.cache_hits,
         stats.cache_misses,
     );

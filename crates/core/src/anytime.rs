@@ -16,7 +16,7 @@
 //! fails or stalls, decisions keep flowing at bounded cost instead of
 //! jumping straight to the belief-argmax heuristic.
 
-use crate::controller::Lifecycle;
+use crate::controller::{check_planning_params, Lifecycle};
 use crate::{Error, RecoveryController, Step, TerminatedModel};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::{ActionId, StateId};
@@ -79,25 +79,7 @@ impl AnytimeConfig {
                 detail: "anytime max depth must be at least 1".into(),
             });
         }
-        if !(self.beta.is_finite() && self.beta > 0.0 && self.beta <= 1.0) {
-            return Err(Error::InvalidInput {
-                detail: format!("anytime beta must be in (0, 1], got {}", self.beta),
-            });
-        }
-        if !self.gamma_cutoff.is_finite() || self.gamma_cutoff < 0.0 {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "anytime gamma cutoff must be finite and non-negative, got {}",
-                    self.gamma_cutoff
-                ),
-            });
-        }
-        if self.vector_cap == Some(0) {
-            return Err(Error::InvalidInput {
-                detail: "anytime vector cap of 0 would evict every hyperplane".into(),
-            });
-        }
-        Ok(())
+        check_planning_params("anytime", self.beta, self.gamma_cutoff, self.vector_cap)
     }
 }
 

@@ -11,6 +11,7 @@
 //! recorded backups in episode order; [`bootstrap_updates`] takes one
 //! backup at each episode start.
 
+use crate::controller::check_planning_params;
 use crate::snapshot::{
     fnv1a64, read_snapshot, write_snapshot, CheckpointPolicy, Joined, PayloadReader, PayloadWriter,
     SnapshotError,
@@ -91,25 +92,7 @@ impl BootstrapConfig {
                 detail: "bootstrap tree depth must be at least 1".into(),
             });
         }
-        if !(self.beta.is_finite() && self.beta > 0.0 && self.beta <= 1.0) {
-            return Err(Error::InvalidInput {
-                detail: format!("bootstrap beta must be in (0, 1], got {}", self.beta),
-            });
-        }
-        if !self.gamma_cutoff.is_finite() || self.gamma_cutoff < 0.0 {
-            return Err(Error::InvalidInput {
-                detail: format!(
-                    "bootstrap gamma cutoff must be finite and non-negative, got {}",
-                    self.gamma_cutoff
-                ),
-            });
-        }
-        if self.vector_cap == Some(0) {
-            return Err(Error::InvalidInput {
-                detail: "bootstrap vector cap of 0 would evict every hyperplane".into(),
-            });
-        }
-        Ok(())
+        check_planning_params("bootstrap", self.beta, self.gamma_cutoff, self.vector_cap)
     }
 }
 

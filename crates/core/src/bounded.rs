@@ -1,6 +1,6 @@
 //! The paper's bounded recovery controller (§4).
 
-use crate::controller::Lifecycle;
+use crate::controller::{check_planning_params, Lifecycle};
 use crate::{Error, RecoveryController, Step, TerminatedModel};
 use bpr_mdp::chain::SolveOpts;
 use bpr_mdp::{ActionId, StateId};
@@ -31,14 +31,11 @@ pub struct BoundedConfig {
     /// pruned during tree expansion. Essential for models with large
     /// observation spaces (the EMN model has 2⁷ monitor masks).
     pub gamma_cutoff: f64,
-    /// Use branch-and-bound expansion with a QMDP upper bound (the
-    /// paper's future-work extension). The root value equals the plain
-    /// Max-Avg expansion's and the chosen action is one of its
-    /// maximisers, usually after fewer nodes; ties can break
-    /// differently (the first strict maximiser in upper-estimate order
-    /// instead of the last maximal action index), and pruned actions
-    /// report their upper estimate in `q_values`. Costs one MDP solve
-    /// at construction.
+    /// Must be `false`: `true` is rejected with
+    /// [`Error::InvalidInput`]. Branch-and-bound expansion is gone (it
+    /// lost to plain expansion on every measured model); the field
+    /// stays only because perfbench's traced replay reads it, and
+    /// ROADMAP item 4's benchmark-changing PR removes it.
     pub branch_and_bound: bool,
     /// Incremental-backup sweeps over the state-vertex beliefs run at
     /// construction. The raw RA-Bound is loose near `S_φ` (it prices in
@@ -100,7 +97,6 @@ pub struct BoundedStats {
 pub struct BoundedController {
     model: TerminatedModel,
     bound: VectorSetBound,
-    upper: Option<VectorSetBound>,
     config: BoundedConfig,
     life: Lifecycle,
     stats: BoundedStats,
@@ -116,7 +112,8 @@ impl BoundedController {
     /// * Propagates RA-Bound divergence (impossible for models built by
     ///   [`crate::RecoveryModel::without_notification`]) and solver
     ///   failures.
-    /// * [`Error::InvalidInput`] for a zero tree depth.
+    /// * [`Error::InvalidInput`] for a config
+    ///   [`BoundedController::with_bound`] rejects.
     pub fn new(model: TerminatedModel, config: BoundedConfig) -> Result<BoundedController, Error> {
         let bound = ra_bound(model.pomdp(), &SolveOpts::default()).map_err(Error::Pomdp)?;
         BoundedController::with_bound(model, bound, config)
@@ -128,7 +125,10 @@ impl BoundedController {
     /// # Errors
     ///
     /// [`Error::InvalidInput`] if the bound dimension mismatches the
-    /// model or the configured depth is zero.
+    /// model, the configured depth is zero, `root_threads` is not 1,
+    /// `branch_and_bound` is set, `beta` lies outside `(0, 1]` or is
+    /// non-finite, `gamma_cutoff` is negative or non-finite, or
+    /// `vector_cap` is `Some(0)`.
     pub fn with_bound(
         model: TerminatedModel,
         bound: VectorSetBound,
@@ -144,18 +144,19 @@ impl BoundedController {
                 detail: "root_threads must be 1: root-parallel expansion was removed".into(),
             });
         }
+        if config.branch_and_bound {
+            return Err(Error::InvalidInput {
+                detail: "branch_and_bound must be false: branch-and-bound expansion was removed"
+                    .into(),
+            });
+        }
+        check_planning_params(
+            "bounded",
+            config.beta,
+            config.gamma_cutoff,
+            config.vector_cap,
+        )?;
         let mut bound = model.seed_termination_plane(bound)?;
-        let upper = if config.branch_and_bound {
-            Some(
-                bpr_pomdp::bounds::qmdp_bound(
-                    model.pomdp(),
-                    bpr_mdp::value_iteration::Discount::Undiscounted,
-                )
-                .map_err(Error::Pomdp)?,
-            )
-        } else {
-            None
-        };
         for _ in 0..config.startup_vertex_sweeps {
             for s in 0..model.pomdp().n_states() {
                 let vertex = Belief::point(model.pomdp().n_states(), StateId::new(s));
@@ -166,7 +167,6 @@ impl BoundedController {
         Ok(BoundedController {
             model,
             bound,
-            upper,
             config,
             life: Lifecycle::default(),
             stats: BoundedStats::default(),
@@ -234,27 +234,15 @@ impl RecoveryController for BoundedController {
             )?;
             self.stats.backups += 1;
         }
-        match &self.upper {
-            Some(upper) => tree::expand_branch_and_bound_with_workspace(
-                self.model.pomdp(),
-                belief,
-                self.config.depth,
-                &self.bound,
-                upper,
-                self.config.beta,
-                self.config.gamma_cutoff,
-                &mut self.workspace,
-            ),
-            None => tree::expand_with_workspace(
-                self.model.pomdp(),
-                belief,
-                self.config.depth,
-                &self.bound,
-                self.config.beta,
-                self.config.gamma_cutoff,
-                &mut self.workspace,
-            ),
-        }
+        tree::expand_with_workspace(
+            self.model.pomdp(),
+            belief,
+            self.config.depth,
+            &self.bound,
+            self.config.beta,
+            self.config.gamma_cutoff,
+            &mut self.workspace,
+        )
         .map_err(Error::Pomdp)?;
         let d = self.workspace.decision();
         self.stats.decisions += 1;
@@ -455,50 +443,32 @@ mod tests {
     }
 
     #[test]
-    fn branch_and_bound_agrees_with_plain_expansion() {
+    fn invalid_configs_are_rejected() {
         let model = two_server_model().without_notification(10.0).unwrap();
-        let mut plain = BoundedController::new(
-            model.clone(),
-            BoundedConfig {
-                depth: 2,
-                backup_online: false,
-                ..BoundedConfig::default()
-            },
-        )
-        .unwrap();
-        let mut bb = BoundedController::new(
-            model,
-            BoundedConfig {
-                depth: 2,
-                backup_online: false,
-                branch_and_bound: true,
-                ..BoundedConfig::default()
-            },
-        )
-        .unwrap();
-        for probs in [
-            vec![0.8, 0.1, 0.1],
-            vec![0.1, 0.8, 0.1],
-            vec![0.34, 0.33, 0.33],
-        ] {
-            let b = Belief::from_probs(probs).unwrap();
-            plain.begin(b.clone(), None).unwrap();
-            bb.begin(b, None).unwrap();
-            assert_eq!(plain.decide().unwrap(), bb.decide().unwrap());
+        type Tweak = fn(&mut BoundedConfig);
+        let build = |f: Tweak| {
+            let mut config = BoundedConfig::default();
+            f(&mut config);
+            BoundedController::new(model.clone(), config)
+        };
+        let invalid: [(&str, Tweak); 11] = [
+            ("root_threads 0", |c| c.root_threads = 0),
+            ("root_threads 2", |c| c.root_threads = 2),
+            ("branch_and_bound", |c| c.branch_and_bound = true),
+            ("beta NaN", |c| c.beta = f64::NAN),
+            ("beta inf", |c| c.beta = f64::INFINITY),
+            ("beta 0", |c| c.beta = 0.0),
+            ("beta -1", |c| c.beta = -1.0),
+            ("beta 2", |c| c.beta = 2.0),
+            ("gamma_cutoff NaN", |c| c.gamma_cutoff = f64::NAN),
+            ("gamma_cutoff -1", |c| c.gamma_cutoff = -1.0),
+            ("vector_cap 0", |c| c.vector_cap = Some(0)),
+        ];
+        for (case, f) in invalid {
+            let err = build(f).expect_err(case);
+            assert!(matches!(err, Error::InvalidInput { .. }), "{case}: {err:?}");
         }
-    }
-
-    #[test]
-    fn zero_root_threads_is_rejected() {
-        let model = two_server_model().without_notification(10.0).unwrap();
-        assert!(BoundedController::new(
-            model,
-            BoundedConfig {
-                root_threads: 0,
-                ..BoundedConfig::default()
-            }
-        )
-        .is_err());
+        assert!(build(|_| {}).is_ok(), "the default config builds");
     }
 
     #[test]

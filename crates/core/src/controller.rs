@@ -111,6 +111,41 @@ pub trait RecoveryController {
     }
 }
 
+/// The checks every planning config (bounded, anytime, bootstrap)
+/// makes of the parameters they share; `label` names the config in the
+/// error detail.
+///
+/// # Errors
+///
+/// [`Error::InvalidInput`] for a `beta` outside `(0, 1]` or
+/// non-finite, a negative or non-finite `gamma_cutoff`, or a zero
+/// `vector_cap`.
+pub(crate) fn check_planning_params(
+    label: &str,
+    beta: f64,
+    gamma_cutoff: f64,
+    vector_cap: Option<usize>,
+) -> Result<(), Error> {
+    if !(beta.is_finite() && beta > 0.0 && beta <= 1.0) {
+        return Err(Error::InvalidInput {
+            detail: format!("{label} beta must be in (0, 1], got {beta}"),
+        });
+    }
+    if !gamma_cutoff.is_finite() || gamma_cutoff < 0.0 {
+        return Err(Error::InvalidInput {
+            detail: format!(
+                "{label} gamma cutoff must be finite and non-negative, got {gamma_cutoff}"
+            ),
+        });
+    }
+    if vector_cap == Some(0) {
+        return Err(Error::InvalidInput {
+            detail: format!("{label} vector cap of 0 would evict every hyperplane"),
+        });
+    }
+    Ok(())
+}
+
 /// The belief lifecycle every belief-tracking controller shares (the
 /// loop of paper §4, Fig. 1): start from an initial belief, refuse to
 /// decide before the start or after termination, fold each observation

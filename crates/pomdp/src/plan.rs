@@ -2,13 +2,11 @@
 //!
 //! A [`PlanWorkspace`] owns everything a tree expansion
 //! ([`crate::tree`]) needs beyond the model itself: a free-list arena
-//! of belief buffers, the per-depth action orders of branch-and-bound
-//! nodes (one `(upper estimate, action)` pair per action; branch
-//! posteriors live only in arena buffers), the per-depth afterstate
-//! tables of the nodes whose action loops are running, the scratch of
-//! frontier nodes' two-pass action loops (the leaf bound's envelope and
-//! the running node's afterstate groups), the within-decision
-//! transposition cache, and the [`Decision`] scratch
+//! of belief buffers (branch posteriors live only there), the
+//! per-depth afterstate tables of the nodes whose action loops are
+//! running, the scratch of frontier nodes' two-pass action loops (the
+//! leaf bound's envelope and the running node's afterstate groups), the
+//! within-decision transposition cache, and the [`Decision`] scratch
 //! the result is assembled in. Controllers hold one workspace across
 //! decisions, so after the first decision warms the buffers up, a
 //! decision performs **zero heap allocations** (the bench suite's
@@ -59,7 +57,7 @@
 //!
 //! # Afterstate sharing
 //!
-//! Each node of a cached, unpruned pass opens its depth's afterstate
+//! Each node of a cached pass opens its depth's afterstate
 //! table before its action loop (a node only recurses one depth down,
 //! so its table survives its own descent). An expanded action records
 //! its key — a fingerprint of its afterstate's bits and its observation
@@ -156,7 +154,6 @@ pub struct CacheEpoch {
 #[derive(Debug, Clone, Default)]
 pub struct PlanWorkspace {
     arena: Vec<Vec<f64>>,
-    orders: Vec<Vec<(f64, usize)>>,
     afterstates: Vec<AfterstateTable>,
     frontier: Frontier,
     cache: BeliefCache,
@@ -243,17 +240,6 @@ impl PlanWorkspace {
     /// Returns a buffer from [`PlanWorkspace::checkout`] to the arena.
     pub fn release(&mut self, buf: Vec<f64>) {
         self.arena.push(buf);
-    }
-
-    /// The action order of a branch-and-bound node at remaining depth
-    /// `depth`: `(upper estimate, action)` pairs, one per action. A node
-    /// only recurses into depth `depth - 1`, so its order survives its
-    /// own descent; the vectors keep their capacity across decisions.
-    pub(crate) fn action_order(&mut self, depth: usize) -> &mut Vec<(f64, usize)> {
-        if self.orders.len() <= depth {
-            self.orders.resize_with(depth + 1, Vec::new);
-        }
-        &mut self.orders[depth]
     }
 
     /// Empties the afterstate table of the node at remaining depth
@@ -374,17 +360,8 @@ impl PlanWorkspace {
         self.decision.q_values.clear();
     }
 
-    pub(crate) fn decision_fill(&mut self, n_actions: usize, value: f64) {
-        self.decision.q_values.clear();
-        self.decision.q_values.resize(n_actions, value);
-    }
-
     pub(crate) fn push_q(&mut self, q: f64) {
         self.decision.q_values.push(q);
-    }
-
-    pub(crate) fn set_q(&mut self, action: usize, q: f64) {
-        self.decision.q_values[action] = q;
     }
 
     pub(crate) fn q_values(&self) -> &[f64] {

@@ -25,8 +25,8 @@
 //! # Branch layouts
 //!
 //! The kernel runs on one of two private layouts, chosen once per model
-//! from its observation matrices; every sequential expansion (plain,
-//! budgeted and branch-and-bound) shares its one recursion. The dense
+//! from its observation matrices; every sequential expansion (plain
+//! and budgeted) shares its one recursion. The dense
 //! layout holds each observation branch as a full `|S|` vector. The
 //! sparse layout, taken by models with mostly empty observation rows
 //! (the 10³–10⁴-state corpus), writes, normalises, keys and scores
@@ -43,8 +43,8 @@
 //! - **Actions with the same afterstate share one expansion.** Within
 //!   one node, many actions reach the same predicted belief
 //!   `pred = P_aᵀ π`: a restart of a component that holds no fault
-//!   mass moves the belief exactly as `observe` does. On cached,
-//!   unpruned passes each node keeps a small afterstate table in the
+//!   mass moves the belief exactly as `observe` does. On cached
+//!   passes each node keeps a small afterstate table in the
 //!   workspace (`PlanWorkspace::afterstate_open` at the start of its
 //!   action loop). After computing `pred`, an action looks for an
 //!   earlier action of the node with the same observation class
@@ -63,7 +63,7 @@
 //!   fingerprint of `pred` and its class, and a fingerprint match
 //!   recomputes the earlier action's `pred` into an arena buffer and
 //!   compares every bit, so a collision can never share. Budgeted
-//!   passes and branch-and-bound stay literal.
+//!   passes stay literal.
 //!
 //! - **Branch masses first.** One transposed SpMV
 //!   `γ = Q_aᵀ · (P_aᵀ π)` over the state-major
@@ -93,7 +93,7 @@
 //!   the last maximal plane still wins.
 //! - **Frontier nodes expand only the afterstates that can win.** A
 //!   frontier node has one remaining layer, so every child is a leaf.
-//!   On cached, unpruned passes whose leaf bound has an envelope
+//!   On cached passes whose leaf bound has an envelope
 //!   ([`ValueBound::envelope_into`]; for a hyperplane set
 //!   `U(s) = max_v V_v(s)` and the floor `m = max_v min_s V_v(s)`,
 //!   filled once per decision of depth ≥ 2), its action loop runs in
@@ -120,8 +120,8 @@
 //!   survivors' q are folded with `max` in ascending action index, so
 //!   the node's value has the literal loop's bits; a strictly smaller
 //!   operand never decides a `max`, `±0` ties included. Budgeted
-//!   passes, branch-and-bound and the root, which reports every q, stay
-//!   literal, as do bounds without an envelope and `β < 0` or NaN.
+//!   passes and the root, which reports every q, stay literal, as do
+//!   bounds without an envelope and `β < 0` or NaN.
 
 use crate::backup::PRUNE_TOLERANCE;
 use crate::bounds::ValueBound;
@@ -250,66 +250,38 @@ pub fn expand_with_workspace_epoch(
     expand_with_workspace(pomdp, belief, depth, leaf, beta, gamma_cutoff, ws)
 }
 
-/// The one root loop of every sequential expansion: plain, budgeted
-/// and branch-and-bound (the caller has already validated
-/// `depth` and, for unbudgeted passes, opened the decision on `ws`).
-/// Writes the per-action values, the chosen action and the node count
-/// into [`PlanWorkspace::decision`]; returns the nodes spent, or
+/// The one root loop of every sequential expansion, plain and
+/// budgeted (the caller has already validated `depth` and, for
+/// unbudgeted passes, opened the decision on `ws`). Expands every
+/// action in index order and writes the per-action values, the last
+/// maximal action and the node count into
+/// [`PlanWorkspace::decision`]; returns the nodes spent, or
 /// `Err(nodes)` when the budget ran out, in which case the workspace
 /// decision is partial and must not be read.
-///
-/// Without an upper bound every action is expanded in index order and
-/// the last maximal q wins. With one, actions are expanded in
-/// [`Kernel::sort_actions`] order: an action whose upper estimate
-/// cannot beat the incumbent is pruned and reports that estimate, and
-/// the incumbent changes only on a strictly greater q.
 fn expand_root<L: Layout>(
     kernel: &Kernel<'_, L>,
     belief: &Belief,
     depth: usize,
     ws: &mut PlanWorkspace,
 ) -> Result<usize, usize> {
-    let n_actions = kernel.plain.pomdp.n_actions();
+    let p = &kernel.plain;
     let probs = belief.probs();
     let mut nodes = 0usize;
-    let (best_a, best_q) = if let Some(upper) = kernel.plain.upper {
-        kernel.sort_actions(ws, probs, depth, upper);
-        ws.decision_fill(n_actions, f64::NEG_INFINITY);
-        let mut best = (ws.action_order(depth)[0].1, f64::NEG_INFINITY);
-        for i in 0..n_actions {
-            let (q_ub, a) = ws.action_order(depth)[i];
-            let q = if q_ub <= best.1 {
-                q_ub
-            } else {
-                let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
-                    return Err(nodes);
-                };
-                if q > best.1 {
-                    best = (a, q);
-                }
-                q
-            };
-            ws.set_q(a, q);
+    ws.decision_clear();
+    if p.use_cache {
+        ws.afterstate_open(depth);
+        if depth >= 2 {
+            ws.frontier()
+                .fill_envelope(p.leaf, p.beta, p.pomdp.n_states());
         }
-        best
-    } else {
-        ws.decision_clear();
-        if kernel.plain.shares_afterstates() {
-            ws.afterstate_open(depth);
-            if depth >= 2 {
-                let p = &kernel.plain;
-                ws.frontier()
-                    .fill_envelope(p.leaf, p.beta, p.pomdp.n_states());
-            }
-        }
-        for a in 0..n_actions {
-            let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
-                return Err(nodes);
-            };
-            ws.push_q(q);
-        }
-        argmax_last(ws.q_values())
-    };
+    }
+    for a in 0..p.pomdp.n_actions() {
+        let Some(q) = kernel.action_q(ws, probs, a, depth, &mut nodes) else {
+            return Err(nodes);
+        };
+        ws.push_q(q);
+    }
+    let (best_a, best_q) = argmax_last(ws.q_values());
     ws.finish_decision(ActionId::new(best_a), best_q, nodes);
     Ok(nodes)
 }
@@ -369,53 +341,6 @@ pub fn expand_budgeted(
     })
 }
 
-/// Expands the recursion with **branch-and-bound pruning**: an upper
-/// bound orders the actions and prunes those whose optimistic value
-/// cannot beat the best action found so far — the use of upper bounds
-/// the paper's conclusion proposes as future work. The result lands in
-/// [`PlanWorkspace::decision`].
-///
-/// With a sound upper bound (one at or above the value of every
-/// belief) the root value equals [`expand_with_cutoff`]'s and the
-/// chosen action is one of its maximisers, typically after far fewer
-/// nodes. Ties can break differently: this keeps the first strict
-/// maximiser in upper-estimate order, the plain expansion the last
-/// maximal action index. A pruned action reports its upper estimate in
-/// `q_values`, not its q. The decision is bit-identical to
-/// [`legacy::expand_branch_and_bound`].
-///
-/// Runs on the plain kernel with the upper bound switched on: every
-/// interior node and the root score each action's one-step optimistic
-/// value, then descend in that order until the first action that cannot
-/// beat the best q found so far.
-///
-/// # Errors
-///
-/// Same as [`expand_with_cutoff`].
-#[allow(clippy::too_many_arguments)]
-pub fn expand_branch_and_bound_with_workspace(
-    pomdp: &Pomdp,
-    belief: &Belief,
-    depth: usize,
-    lower: &dyn ValueBound,
-    upper: &dyn ValueBound,
-    beta: f64,
-    gamma_cutoff: f64,
-    ws: &mut PlanWorkspace,
-) -> Result<(), Error> {
-    if depth == 0 {
-        return Err(depth_zero_error());
-    }
-    ws.begin();
-    Plain {
-        upper: Some(upper),
-        ..Plain::unbudgeted(pomdp, lower, beta, gamma_cutoff)
-    }
-    .expand_root(belief, depth, ws)
-    .expect("unbudgeted expansion never aborts");
-    Ok(())
-}
-
 /// `max_by` over the q-values, replicating the iterator's
 /// last-maximal-element tie-breaking of the legacy root argmax.
 fn argmax_last(q_values: &[f64]) -> (usize, f64) {
@@ -427,18 +352,17 @@ fn argmax_last(q_values: &[f64]) -> (usize, f64) {
         .expect("model has at least one action")
 }
 
-/// The parameters of one expansion. `upper`, when set, orders and
-/// prunes the actions of the root and of every interior node
-/// (branch-and-bound); `None` expands every action. `budget` is
-/// `usize::MAX` for unbudgeted runs; `use_cache` is off for budgeted
-/// passes so abort points stay a function of the literal expansion
-/// order. The two entry methods run the [`Kernel`] on the model's
-/// branch layout ([`Pomdp::sparse_branches`]).
+/// The parameters of one expansion. `budget` is `usize::MAX` for
+/// unbudgeted runs. `use_cache` is off for budgeted passes so abort
+/// points stay a function of the literal expansion order; it also
+/// switches on afterstate sharing and the frontier's two-pass loop,
+/// which budgeted passes skip for the same reason. The two entry
+/// methods run the [`Kernel`] on the model's branch layout
+/// ([`Pomdp::sparse_branches`]).
 #[derive(Clone, Copy)]
 struct Plain<'a> {
     pomdp: &'a Pomdp,
     leaf: &'a dyn ValueBound,
-    upper: Option<&'a dyn ValueBound>,
     beta: f64,
     cutoff: f64,
     use_cache: bool,
@@ -446,26 +370,16 @@ struct Plain<'a> {
 }
 
 impl<'a> Plain<'a> {
-    /// The cached, unbudgeted, unpruned engine every plain expansion
-    /// runs on.
+    /// The cached, unbudgeted engine every plain expansion runs on.
     fn unbudgeted(pomdp: &'a Pomdp, leaf: &'a dyn ValueBound, beta: f64, cutoff: f64) -> Plain<'a> {
         Plain {
             pomdp,
             leaf,
-            upper: None,
             beta,
             cutoff,
             use_cache: true,
             budget: usize::MAX,
         }
-    }
-
-    /// Whether actions with the same afterstate share one branch
-    /// expansion: on cached, unpruned passes only. Budgeted passes stay
-    /// literal like the cache, so their abort points do not move, and
-    /// branch-and-bound stays literal as well.
-    fn shares_afterstates(&self) -> bool {
-        self.use_cache && self.upper.is_none()
     }
 
     /// Whether an observation branch of mass `gamma` is expanded, as
@@ -640,49 +554,18 @@ impl<L: Layout> Kernel<'_, L> {
         depth: usize,
         nodes: &mut usize,
     ) -> Option<f64> {
-        let value = |ws: &mut PlanWorkspace, post: &[f64], support: &[usize], nodes: &mut usize| {
-            self.node_value(ws, post, support, depth - 1, nodes)
-        };
-        if self.plain.shares_afterstates() {
-            self.branch_sum::<true>(ws, belief, a, depth, nodes, value)
+        if self.plain.use_cache {
+            self.branch_sum::<true>(ws, belief, a, depth, nodes)
         } else {
-            self.branch_sum::<false>(ws, belief, a, depth, nodes, value)
+            self.branch_sum::<false>(ws, belief, a, depth, nodes)
         }
-    }
-
-    /// Writes every action's `(upper estimate, action)` into the
-    /// workspace's depth-`depth` action order, sorted by estimate
-    /// descending, then action ascending. The estimate is one action
-    /// layer with `upper` scoring each branch: `Q(belief, a)` with the
-    /// upper bound at the leaves.
-    fn sort_actions(
-        &self,
-        ws: &mut PlanWorkspace,
-        belief: &[f64],
-        depth: usize,
-        upper: &dyn ValueBound,
-    ) {
-        ws.action_order(depth).clear();
-        for a in 0..self.plain.pomdp.n_actions() {
-            let q_ub = self
-                .branch_sum::<false>(ws, belief, a, depth, &mut 0, |_, post, support, _| {
-                    Some(self.layout.leaf(upper, post, support))
-                })
-                .expect("leaf scoring never aborts");
-            ws.action_order(depth).push((q_ub, a));
-        }
-        ws.action_order(depth).sort_unstable_by(|x, y| {
-            y.0.partial_cmp(&x.0)
-                .expect("finite upper estimates")
-                .then(x.1.cmp(&y.1))
-        });
     }
 
     /// The branch loop of one `(node, action)` pair: the expected
-    /// reward plus `β γ(o) value(o)` over the surviving observation
-    /// branches in ascending `o`, where `value` scores the normalised
-    /// branch on its support and counts its nodes; `None` as soon as
-    /// `value` aborts.
+    /// reward plus `β γ(o) v(o)` over the surviving observation
+    /// branches in ascending `o`, where `v(o)` is the normalised
+    /// branch's [`Kernel::node_value`] one layer down; `None` as soon
+    /// as a subtree runs out of budget.
     ///
     /// Branch masses come first: one transposed SpMV
     /// `γ = Q_aᵀ · pred` over the state-major observation matrix
@@ -701,10 +584,9 @@ impl<L: Layout> Kernel<'_, L> {
     /// `pred`, its stored terms are added onto this action's reward
     /// and its node count onto `nodes`, and no branch is expanded;
     /// otherwise the pair records its own terms for later actions.
-    /// `SHARE` is a const parameter so the literal loops (budgeted
-    /// passes, branch-and-bound, upper estimates) compile without the
-    /// table code: as a runtime flag it slowed them by about 5 % on the
-    /// sparse layout.
+    /// `SHARE` is a const parameter so the literal loop of budgeted
+    /// passes compiles without the table code: as a runtime flag it
+    /// slowed the literal loops by about 5 % on the sparse layout.
     fn branch_sum<const SHARE: bool>(
         &self,
         ws: &mut PlanWorkspace,
@@ -712,7 +594,6 @@ impl<L: Layout> Kernel<'_, L> {
         a: usize,
         depth: usize,
         nodes: &mut usize,
-        mut value: impl FnMut(&mut PlanWorkspace, &[f64], &[usize], &mut usize) -> Option<f64>,
     ) -> Option<f64> {
         let p = &self.plain;
         let action = ActionId::new(a);
@@ -760,7 +641,7 @@ impl<L: Layout> Kernel<'_, L> {
                 // non-zero mass (non-zero is established above).
                 self.layout.normalize(&mut post, support, gamma);
             }
-            match value(ws, &post, support, nodes) {
+            match self.node_value(ws, &post, support, depth - 1, nodes) {
                 Some(v) => {
                     let term = p.beta * gamma * v;
                     q += term;
@@ -821,35 +702,8 @@ impl<L: Layout> Kernel<'_, L> {
         None
     }
 
-    /// `max_a Q(belief, a)` at `depth ≥ 1` remaining layers with
-    /// branch-and-bound: the actions are descended in
-    /// [`Kernel::sort_actions`] order, stopping at the first whose upper
-    /// estimate cannot beat the best q so far. Out of line: inlined into
-    /// [`Kernel::node_value`] it grows the plain recursion's hot loop
-    /// and measurably slows plain expansion.
-    #[inline(never)]
-    fn pruned_max(
-        &self,
-        ws: &mut PlanWorkspace,
-        belief: &[f64],
-        depth: usize,
-        upper: &dyn ValueBound,
-        nodes: &mut usize,
-    ) -> Option<f64> {
-        self.sort_actions(ws, belief, depth, upper);
-        let mut best = f64::NEG_INFINITY;
-        for i in 0..self.plain.pomdp.n_actions() {
-            let (q_ub, a) = ws.action_order(depth)[i];
-            if q_ub <= best {
-                break; // sorted: every later action is prunable too
-            }
-            best = best.max(self.action_q(ws, belief, a, depth, nodes)?);
-        }
-        Some(best)
-    }
-
     /// `max_a Q(belief, a)` at a frontier node (one remaining layer,
-    /// every child a leaf) of a cached, unpruned pass whose leaf bound
+    /// every child a leaf) of a cached pass whose leaf bound
     /// has the envelope floor `floor`: the value and node count of the
     /// literal action loop, from two passes (module docs, "What one
     /// Max-Avg node costs").
@@ -861,8 +715,9 @@ impl<L: Layout> Kernel<'_, L> {
     /// Pass 2 visits the groups in descending bound, ties to the lower
     /// representative, and expands a group only if its largest `ub +
     /// tol` is not below the best q found so far; the expanded members'
-    /// q are folded with `max` in ascending action index. Out of line
-    /// like [`Kernel::pruned_max`].
+    /// q are folded with `max` in ascending action index. Out of line,
+    /// so [`Kernel::node_value`]'s literal loop, the budgeted passes'
+    /// hot path, does not grow.
     #[inline(never)]
     fn frontier_max(
         &self,
@@ -1012,7 +867,6 @@ impl<L: Layout> Kernel<'_, L> {
 
     /// `max_a Q(belief, a)` at `depth` remaining layers, or the leaf
     /// bound at depth 0. `belief` is a normalised branch on `support`.
-    /// With an upper bound the max is [`Kernel::pruned_max`].
     ///
     /// Leaves are evaluated, never cached: a leaf entry would replay
     /// `sub = 0` extra nodes, so skipping the cache leaves node counts
@@ -1044,17 +898,15 @@ impl<L: Layout> Kernel<'_, L> {
             }
         }
         let before = *nodes;
-        let frontier_floor = if depth == 1 && p.shares_afterstates() {
+        let frontier_floor = if depth == 1 && p.use_cache {
             ws.frontier().floor
         } else {
             None
         };
-        let value = if let Some(upper) = p.upper {
-            self.pruned_max(ws, belief, depth, upper, nodes)?
-        } else if let Some(floor) = frontier_floor {
+        let value = if let Some(floor) = frontier_floor {
             self.frontier_max(ws, belief, floor, nodes)
         } else {
-            if p.shares_afterstates() {
+            if p.use_cache {
                 ws.afterstate_open(depth);
             }
             let mut best = f64::NEG_INFINITY;
@@ -1170,7 +1022,7 @@ struct FrontierAction {
 /// kept as (a) the reference the equivalence tests compare bit-for-bit
 /// against, and (b) the in-run baseline of `bench --bin planning`.
 pub mod legacy {
-    use super::{Decision, Successors};
+    use super::Decision;
     use crate::bounds::ValueBound;
     use crate::{Belief, Error, Pomdp};
     use bpr_mdp::ActionId;
@@ -1218,136 +1070,6 @@ pub mod legacy {
             q_values,
             nodes_expanded: nodes,
         })
-    }
-
-    /// Pre-fusion [`super::expand_branch_and_bound_with_workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`super::expand_with_cutoff`].
-    pub fn expand_branch_and_bound(
-        pomdp: &Pomdp,
-        belief: &Belief,
-        depth: usize,
-        lower: &dyn ValueBound,
-        upper: &dyn ValueBound,
-        beta: f64,
-        gamma_cutoff: f64,
-    ) -> Result<Decision, Error> {
-        if depth == 0 {
-            return Err(super::depth_zero_error());
-        }
-        let mut nodes = 0usize;
-        let na = pomdp.n_actions();
-        // Per action: successors plus the optimistic one-step estimate.
-        let mut entries: Vec<(usize, f64, Successors)> = Vec::with_capacity(na);
-        for a in 0..na {
-            let action = ActionId::new(a);
-            let succ: Successors = belief
-                .successors(pomdp, action, gamma_cutoff)
-                .into_iter()
-                .map(|(_o, g, b)| (g, b))
-                .collect();
-            let mut q_ub = belief.expected_reward(pomdp, action);
-            for (g, b) in &succ {
-                q_ub += beta * g * upper.value(b);
-            }
-            entries.push((a, q_ub, succ));
-        }
-        entries.sort_by(|x, y| y.1.partial_cmp(&x.1).expect("finite upper estimates"));
-
-        let mut q_values = vec![f64::NEG_INFINITY; na];
-        let mut best_value = f64::NEG_INFINITY;
-        let mut best_action = entries[0].0;
-        for (a, q_ub, succ) in entries {
-            if q_ub <= best_value {
-                // Provably cannot beat the incumbent: record the
-                // optimistic estimate and skip the descent.
-                q_values[a] = q_ub;
-                continue;
-            }
-            let action = ActionId::new(a);
-            let mut q = belief.expected_reward(pomdp, action);
-            for (g, b) in succ {
-                let v = bb_value(
-                    pomdp,
-                    &b,
-                    depth - 1,
-                    lower,
-                    upper,
-                    beta,
-                    gamma_cutoff,
-                    &mut nodes,
-                )?;
-                q += beta * g * v;
-            }
-            q_values[a] = q;
-            if q > best_value {
-                best_value = q;
-                best_action = a;
-            }
-        }
-        Ok(Decision {
-            action: ActionId::new(best_action),
-            value: best_value,
-            q_values,
-            nodes_expanded: nodes,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn bb_value(
-        pomdp: &Pomdp,
-        belief: &Belief,
-        depth: usize,
-        lower: &dyn ValueBound,
-        upper: &dyn ValueBound,
-        beta: f64,
-        gamma_cutoff: f64,
-        nodes: &mut usize,
-    ) -> Result<f64, Error> {
-        *nodes += 1;
-        if depth == 0 {
-            return Ok(lower.value(belief));
-        }
-        let na = pomdp.n_actions();
-        let mut entries: Vec<(f64, Successors, ActionId)> = Vec::with_capacity(na);
-        for a in 0..na {
-            let action = ActionId::new(a);
-            let succ: Successors = belief
-                .successors(pomdp, action, gamma_cutoff)
-                .into_iter()
-                .map(|(_o, g, b)| (g, b))
-                .collect();
-            let mut q_ub = belief.expected_reward(pomdp, action);
-            for (g, b) in &succ {
-                q_ub += beta * g * upper.value(b);
-            }
-            entries.push((q_ub, succ, action));
-        }
-        entries.sort_by(|x, y| y.0.partial_cmp(&x.0).expect("finite upper estimates"));
-        let mut best = f64::NEG_INFINITY;
-        for (q_ub, succ, action) in entries {
-            if q_ub <= best {
-                break; // sorted: everything after is also prunable
-            }
-            let mut q = belief.expected_reward(pomdp, action);
-            for (g, b) in succ {
-                let v = bb_value(
-                    pomdp,
-                    &b,
-                    depth - 1,
-                    lower,
-                    upper,
-                    beta,
-                    gamma_cutoff,
-                    nodes,
-                )?;
-                q += beta * g * v;
-            }
-            best = best.max(q);
-        }
-        Ok(best)
     }
 
     /// Value of the belief under the expansion: `max_a Q(π, a, depth)`,
@@ -1402,31 +1124,12 @@ pub mod legacy {
     }
 }
 
-/// Successor beliefs of one action: `(γ(o), b')` per surviving
-/// observation branch.
-type Successors = Vec<(f64, Belief)>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::ra::tests::two_server_notified;
-    use crate::bounds::{qmdp_bound, ra_bound, ConstantBound, VectorSetBound};
+    use crate::bounds::{ra_bound, ConstantBound, VectorSetBound};
     use bpr_mdp::chain::SolveOpts;
-    use bpr_mdp::value_iteration::Discount;
-
-    fn bb_decision(
-        pomdp: &Pomdp,
-        belief: &Belief,
-        depth: usize,
-        lower: &dyn ValueBound,
-        upper: &dyn ValueBound,
-    ) -> Result<Decision, Error> {
-        let mut ws = PlanWorkspace::new();
-        expand_branch_and_bound_with_workspace(
-            pomdp, belief, depth, lower, upper, 1.0, 0.0, &mut ws,
-        )?;
-        Ok(ws.take_decision())
-    }
 
     #[test]
     fn depth_zero_is_rejected() {
@@ -1512,45 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_and_bound_matches_plain_expansion() {
-        let p = two_server_notified();
-        let lower = ra_bound(&p, &SolveOpts::default()).unwrap();
-        let upper = qmdp_bound(&p, Discount::Undiscounted).unwrap();
-        for probs in [
-            vec![1.0, 0.0, 0.0],
-            vec![0.5, 0.5, 0.0],
-            vec![0.3, 0.3, 0.4],
-            vec![0.05, 0.9, 0.05],
-        ] {
-            let b = Belief::from_probs(probs).unwrap();
-            for depth in 1..=3 {
-                let plain = expand_with_cutoff(&p, &b, depth, &lower, 1.0, 0.0).unwrap();
-                let bb = bb_decision(&p, &b, depth, &lower, &upper).unwrap();
-                assert!(
-                    (bb.value - plain.value).abs() < 1e-9,
-                    "depth {depth}: {} vs {}",
-                    bb.value,
-                    plain.value
-                );
-                // Tie-breaking may differ, but the chosen action must be
-                // a maximiser of the plain expansion.
-                assert!(
-                    (plain.q_values[bb.action.index()] - plain.value).abs() < 1e-9,
-                    "depth {depth}: bb picked a non-maximiser"
-                );
-                assert!(bb.nodes_expanded <= plain.nodes_expanded);
-            }
-        }
-    }
-
-    #[test]
-    fn branch_and_bound_rejects_zero_depth() {
-        let p = two_server_notified();
-        let bound = ConstantBound(0.0);
-        assert!(bb_decision(&p, &Belief::uniform(3), 0, &bound, &bound).is_err());
-    }
-
-    #[test]
     fn expansion_with_trivial_upper_bound_is_optimistic() {
         // Leaf bound 0 (upper) must give a root value >= the value with
         // the RA lower bound at the leaves.
@@ -1592,21 +1256,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_branch_and_bound_matches_legacy_exactly() {
-        let p = two_server_notified();
-        let lower = ra_bound(&p, &SolveOpts::default()).unwrap();
-        let upper = qmdp_bound(&p, Discount::Undiscounted).unwrap();
-        for b in probe_beliefs() {
-            for depth in 1..=3 {
-                let old = legacy::expand_branch_and_bound(&p, &b, depth, &lower, &upper, 1.0, 0.0)
-                    .unwrap();
-                let new = bb_decision(&p, &b, depth, &lower, &upper).unwrap();
-                assert_eq!(old, new, "depth={depth}");
-            }
-        }
-    }
-
-    #[test]
     fn workspace_reuse_is_steady_state() {
         let p = two_server_notified();
         let ra = ra_bound(&p, &SolveOpts::default()).unwrap();
@@ -1623,22 +1272,6 @@ mod tests {
             ws.stats().buffers_allocated,
             warm,
             "steady-state decisions allocated fresh buffers"
-        );
-        // Branch-and-bound on the same workspace: one warm-up decision,
-        // then steady state.
-        let upper = qmdp_bound(&p, Discount::Undiscounted).unwrap();
-        expand_branch_and_bound_with_workspace(&p, &b, 3, &ra, &upper, 1.0, 0.0, &mut ws).unwrap();
-        let first = ws.decision().clone();
-        let warm = ws.stats().buffers_allocated;
-        for _ in 0..5 {
-            expand_branch_and_bound_with_workspace(&p, &b, 3, &ra, &upper, 1.0, 0.0, &mut ws)
-                .unwrap();
-            assert_eq!(ws.decision(), &first, "b&b decisions drifted across reuse");
-        }
-        assert_eq!(
-            ws.stats().buffers_allocated,
-            warm,
-            "steady-state b&b decisions allocated fresh buffers"
         );
     }
 
@@ -1770,9 +1403,6 @@ mod tests {
         plane[0] = 0.0;
         plane[1] = -0.0;
         bound.add_vector(plane).unwrap();
-        // Rewards are non-positive, so the discounted QMDP values lie
-        // above the undiscounted ones: a sound upper bound.
-        let upper = qmdp_bound(&p, Discount::Factor(0.95)).unwrap();
         let mut sparse_probs = vec![0.0; n];
         sparse_probs[3] = 0.5;
         sparse_probs[17] = 0.25;
@@ -1804,27 +1434,6 @@ mod tests {
                     assert_eq!(dense_ws.stats(), sparse_ws.stats(), "depth {depth}");
                 }
                 let old = legacy::expand_with_cutoff(&p, b, depth, &bound, 1.0, 0.0).unwrap();
-                assert_eq!(decision_bits(&old), decision_bits(sparse_ws.decision()));
-                // Branch-and-bound on both layouts, against legacy.
-                let bb = Plain {
-                    upper: Some(&upper),
-                    ..plain
-                };
-                dense_ws.begin();
-                sparse_ws.begin();
-                let layouts = (
-                    expand_root(&bb.on(Dense), b, depth, &mut dense_ws),
-                    expand_root(&bb.on(Sparse), b, depth, &mut sparse_ws),
-                );
-                assert_eq!(layouts.0, layouts.1);
-                assert_eq!(
-                    decision_bits(dense_ws.decision()),
-                    decision_bits(sparse_ws.decision()),
-                    "b&b depth {depth}"
-                );
-                assert_eq!(dense_ws.stats(), sparse_ws.stats(), "b&b depth {depth}");
-                let old = legacy::expand_branch_and_bound(&p, b, depth, &bound, &upper, 1.0, 0.0)
-                    .unwrap();
                 assert_eq!(decision_bits(&old), decision_bits(sparse_ws.decision()));
             }
         }

@@ -17,13 +17,12 @@
 //! empty (mean fill at most 1/8) run the kernel's sparse branch layout,
 //! which touches only each observation row's stored states; the
 //! `sparse_*` properties and the corpus test hold that layout to the
-//! same bit-identity, branch-and-bound included.
+//! same bit-identity.
 
 use bpr_core::anytime_expand_with_workspace;
 use bpr_mdp::chain::SolveOpts;
-use bpr_mdp::value_iteration::Discount;
 use bpr_mdp::{ActionId, MdpBuilder};
-use bpr_pomdp::bounds::{qmdp_bound, ra_bound, ConstantBound, ValueBound, VectorSetBound};
+use bpr_pomdp::bounds::{ra_bound, ValueBound, VectorSetBound};
 use bpr_pomdp::tree::Decision;
 use bpr_pomdp::{tree, Belief, PlanWorkspace, Pomdp, PomdpBuilder};
 use proptest::prelude::*;
@@ -204,15 +203,12 @@ fn decision_bits(d: &Decision) -> (usize, u64, Vec<u64>, usize) {
 /// workspace pass on a fresh workspace and again on one dirtied by a
 /// decision on a different belief (with the same cache and afterstate
 /// traffic as the fresh pass, so no entry leaks from one decision into
-/// the next), an
-/// exact-budget pass (and its one-short abort), and branch-and-bound
-/// with `upper` against the legacy branch-and-bound.
+/// the next), and an exact-budget pass (and its one-short abort).
 fn assert_entry_points_match_legacy(
     pomdp: &Pomdp,
     belief: &Belief,
     depth: usize,
     leaf: &VectorSetBound,
-    upper: &VectorSetBound,
     cutoff: f64,
 ) {
     let old = tree::legacy::expand_with_cutoff(pomdp, belief, depth, leaf, 1.0, cutoff)
@@ -253,17 +249,6 @@ fn assert_entry_points_match_legacy(
     let short = tree::expand_budgeted(pomdp, belief, depth, leaf, 1.0, cutoff, nodes - 1, &mut ws)
         .expect("budgeted pass expands");
     assert!(!short.completed);
-    let old = tree::legacy::expand_branch_and_bound(pomdp, belief, depth, leaf, upper, 1.0, cutoff)
-        .expect("legacy b&b expands");
-    tree::expand_branch_and_bound_with_workspace(
-        pomdp, belief, depth, leaf, upper, 1.0, cutoff, &mut ws,
-    )
-    .expect("b&b pass expands");
-    assert_eq!(
-        decision_bits(ws.decision()),
-        decision_bits(&old),
-        "branch-and-bound pass"
-    );
 }
 
 /// How an action of [`build_copying`] copies an earlier one.
@@ -615,14 +600,6 @@ fn frontier_nodes_skip_actions_on_both_layouts_and_every_leaf_shape() {
     }
 }
 
-/// The QMDP upper bound at discount 0.95. Every reward of the random
-/// models is non-positive, so discounting only raises values and the
-/// bound stays above the undiscounted value; unlike the undiscounted
-/// QMDP its value iteration converges on every random model.
-fn random_upper(pomdp: &Pomdp) -> VectorSetBound {
-    qmdp_bound(pomdp, Discount::Factor(0.95)).expect("discounted QMDP converges")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -634,9 +611,8 @@ proptest! {
     ) {
         let pomdp = build_sparse(&spec);
         let lower = random_lower_with_zero_plane(&pomdp, spec.seed);
-        let upper = random_upper(&pomdp);
         for belief in probe_beliefs(&pomdp, spec.seed) {
-            assert_entry_points_match_legacy(&pomdp, &belief, depth, &lower, &upper, cutoff);
+            assert_entry_points_match_legacy(&pomdp, &belief, depth, &lower, cutoff);
         }
     }
 
@@ -691,32 +667,6 @@ proptest! {
         shape in 0usize..3,
     ) {
         assert_frontier_matches_legacy(&spec, true, depth, shape);
-    }
-
-    #[test]
-    fn fused_branch_and_bound_matches_legacy(
-        spec in arb_pomdp(),
-        depth in 1usize..=2,
-    ) {
-        // ConstantBound(0.0) is a sound upper bound (all rewards are
-        // negative); a random hyperplane set is the lower bound. QMDP is
-        // avoided here: its value iteration need not converge on
-        // arbitrary random models.
-        let pomdp = build(&spec);
-        let lower = random_lower(&pomdp, spec.seed);
-        let upper = ConstantBound(0.0);
-        for belief in probe_beliefs(&pomdp, spec.seed) {
-            let old = tree::legacy::expand_branch_and_bound(
-                &pomdp, &belief, depth, &lower, &upper, 1.0, 0.0,
-            )
-            .expect("legacy b&b expands");
-            let mut ws = PlanWorkspace::new();
-            tree::expand_branch_and_bound_with_workspace(
-                &pomdp, &belief, depth, &lower, &upper, 1.0, 0.0, &mut ws,
-            )
-            .expect("fused b&b expands");
-            prop_assert_eq!(old, ws.take_decision());
-        }
     }
 
     #[test]
@@ -859,8 +809,6 @@ fn corpus_visited_beliefs_match_legacy_on_both_layouts() {
             .map(|s| pomdp.mdp().reward(s, model.terminate_action()))
             .collect();
         leaf.add_vector(plane).expect("same dimension");
-        // The branch-and-bound controller's upper bound.
-        let upper = qmdp_bound(pomdp, Discount::Undiscounted).expect("QMDP converges");
         let null = model.null_states()[0].index();
         // A leaf concentrated on the null state scores exactly zero, so
         // its support sums are zero and take the dense fallback.
@@ -872,7 +820,7 @@ fn corpus_visited_beliefs_match_legacy_on_both_layouts() {
             "{name}"
         );
         for belief in visited_beliefs(pomdp, null) {
-            assert_entry_points_match_legacy(pomdp, &belief, depth, &leaf, &upper, cutoff);
+            assert_entry_points_match_legacy(pomdp, &belief, depth, &leaf, cutoff);
         }
     }
 }
